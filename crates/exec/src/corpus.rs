@@ -1,4 +1,4 @@
-//! Streaming sharded corpus execution.
+//! Streaming sharded corpus execution: one pipeline, two evaluators.
 //!
 //! [`CorpusRunner`] is the production shape of the paper's parallel
 //! evaluation payoff: instead of materializing every document and
@@ -12,12 +12,21 @@
 //! [`SpanRelation`]s with deterministic ordering regardless of worker
 //! scheduling.
 //!
+//! This module owns that pipeline once, for both runners. A
+//! [`CorpusRunner`] and a [`crate::FleetRunner`] each pair a
+//! per-segment evaluator — one [`ExecSpanner`] (an engine dispatch
+//! behind a segment-cache probe) or one [`crate::Fleet`] (the fused
+//! gate → scan → dispatch pass) — with the same crate-private pipeline:
+//! streaming split or presplit spans, batching, the bounded queue,
+//! spawned or [`EvalPool`] workers with the drain-on-panic protocol,
+//! and the deterministic `(document, member)` merge.
+//!
 //! When `P = P_S ∘ S` has been certified split-correct
 //! (`splitc-core`), the relations returned here equal whole-document
 //! evaluation of `P` — the differential proptest suite asserts equality
 //! with [`crate::evaluate_many_split`] on every run.
 
-use crate::engine::{EngineBackend, ExecSpanner};
+use crate::engine::ExecSpanner;
 use crate::pool::EvalPool;
 use crate::segcache::SegmentCache;
 use crate::stream::{Segment, StreamingSplitter};
@@ -31,7 +40,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::Arc;
 
-/// Tuning knobs of a [`CorpusRunner`].
+/// Tuning knobs of a [`CorpusRunner`] (and of a [`crate::FleetRunner`],
+/// which runs the same pipeline).
 #[derive(Debug, Clone, Copy)]
 pub struct CorpusRunnerConfig {
     /// Evaluation worker threads (the producer streams and splits on the
@@ -118,13 +128,88 @@ pub struct CorpusResult {
     pub stats: CorpusStats,
 }
 
-/// One segment flowing through a runner queue. The streaming path
-/// moves each freshly split [`Segment`] in (the bytes were just
-/// materialized and have no other owner); the presplit re-query path
-/// shares one `Arc` of the whole document per segment instead of
-/// copying bytes — at corpus scale that removes one allocation and one
-/// memcpy per segment from the all-hits hot path.
-pub(crate) enum SegPayload {
+/// The per-segment step the shared [`Pipeline`] fans out to its
+/// workers. Production has exactly two implementations: [`ExecSpanner`]
+/// (below) and [`crate::Fleet`]; everything around the step — split,
+/// batch, queue, worker lifecycle, panic draining, merge — belongs to
+/// the pipeline.
+pub(crate) trait SegmentEval: Send + Sync + 'static {
+    /// Worker-local state (engine caches, counters), created once per
+    /// worker.
+    type Scratch;
+
+    /// What a worker reports to the runner when the queue drains.
+    type Report: Send + 'static;
+
+    /// Relations produced per document (members of the evaluator). An
+    /// evaluator of width 0 is never given a segment.
+    fn width(&self) -> usize;
+
+    /// Fresh worker-local state.
+    fn scratch(&self) -> Self::Scratch;
+
+    /// Reduces a drained worker's state to its report. Runs on the
+    /// worker, so the engine caches are torn down there, in parallel.
+    fn report(scratch: Self::Scratch) -> Self::Report;
+
+    /// Evaluates one segment, reporting `(member, relation)` for each
+    /// member it dispatched (the relation may be empty); unreported
+    /// members contribute nothing. With a `seg_cache`, a dispatch is
+    /// first looked up by segment content.
+    fn eval_into(
+        &self,
+        bytes: &[u8],
+        seg_cache: Option<&SegmentCache>,
+        scratch: &mut Self::Scratch,
+        sink: impl FnMut(usize, &SpanRelation),
+    );
+}
+
+impl SegmentEval for ExecSpanner {
+    type Scratch = (DenseCache, PrefilterStats);
+    type Report = (DenseCacheStats, PrefilterStats);
+
+    fn width(&self) -> usize {
+        1
+    }
+
+    fn scratch(&self) -> Self::Scratch {
+        (DenseCache::default(), PrefilterStats::default())
+    }
+
+    fn report((cache, prefilter): Self::Scratch) -> Self::Report {
+        (cache.stats(), prefilter)
+    }
+
+    fn eval_into(
+        &self,
+        bytes: &[u8],
+        seg_cache: Option<&SegmentCache>,
+        (cache, prefilter): &mut Self::Scratch,
+        mut sink: impl FnMut(usize, &SpanRelation),
+    ) {
+        // Segment relations are pure functions of the bytes, so a
+        // content-addressed hit is byte-identical to the engine
+        // dispatch it replaces.
+        match seg_cache {
+            Some(sc) => {
+                let (rel, _) = sc.get_or_eval(self.cache_id(), bytes, || {
+                    self.backend().eval_scratch(bytes, cache, prefilter)
+                });
+                sink(0, &rel);
+            }
+            None => sink(0, &self.backend().eval_scratch(bytes, cache, prefilter)),
+        }
+    }
+}
+
+/// One segment flowing through the queue. The streaming path moves
+/// each freshly split [`Segment`] in (the bytes were just materialized
+/// and have no other owner); the presplit re-query path shares one
+/// `Arc` of the whole document per segment instead of copying bytes —
+/// at corpus scale that removes one allocation and one memcpy per
+/// segment from the all-hits hot path.
+enum SegPayload {
     /// Owned segment bytes (streaming split output).
     Owned(Segment),
     /// A slice `doc[span.start..span.end]` of a shared document.
@@ -134,7 +219,7 @@ pub(crate) enum SegPayload {
 impl SegPayload {
     /// The segment's absolute span in its document (the shift applied
     /// to its tuples).
-    pub(crate) fn span(&self) -> Span {
+    fn span(&self) -> Span {
         match self {
             SegPayload::Owned(seg) => seg.span,
             SegPayload::Shared { span, .. } => *span,
@@ -142,7 +227,7 @@ impl SegPayload {
     }
 
     /// The segment bytes.
-    pub(crate) fn bytes(&self) -> &[u8] {
+    fn bytes(&self) -> &[u8] {
         match self {
             SegPayload::Owned(seg) => &seg.bytes,
             SegPayload::Shared { doc, span } => &doc[span.start..span.end],
@@ -158,8 +243,8 @@ struct Batch {
     segments: Vec<(usize, SegPayload)>,
 }
 
-/// The producer side of the pipeline, handed to the segment-producing
-/// closure of `run_pipeline`: accumulates segments into batches and
+/// The producer side of the pipeline, handed to the per-document
+/// closure of [`Pipeline::run`]: accumulates segments into batches and
 /// dispatches them over the bounded queue (blocking when it is full —
 /// the backpressure that bounds in-flight memory). Producers mutate run
 /// statistics directly through `stats`.
@@ -194,65 +279,284 @@ impl Feed<'_> {
     }
 }
 
-/// Streaming sharded corpus executor. See the [module docs](self) for
-/// the pipeline shape; construct with [`CorpusRunner::new`] and feed a
-/// corpus with [`CorpusRunner::run_streams`] (chunked sources) or
-/// [`CorpusRunner::run_slices`] (materialized documents, driven through
-/// the same streaming path).
+/// The runner-independent half of both runners: the splitter, the
+/// tuning, and the two shared resources a service threads through every
+/// request. Built by [`crate::RunnerOptions`].
 #[derive(Debug)]
-pub struct CorpusRunner {
-    spanner: ExecSpanner,
-    splitter: CompiledSplitter,
-    config: CorpusRunnerConfig,
+pub(crate) struct Pipeline {
+    pub(crate) splitter: CompiledSplitter,
+    pub(crate) config: CorpusRunnerConfig,
     /// Shared long-lived worker pool. `None` spawns per-run threads
     /// (the batch-job shape); services reuse one [`EvalPool`] across
-    /// requests via [`CorpusRunner::with_pool`].
-    pool: Option<Arc<EvalPool>>,
+    /// requests.
+    pub(crate) pool: Option<Arc<EvalPool>>,
     /// Shared content-addressed per-segment result cache. `None`
     /// evaluates every segment; services attach one process-wide cache
-    /// via [`CorpusRunner::with_segment_cache`] so re-queries over
-    /// slightly-changed corpora skip the unchanged segments.
-    segment_cache: Option<Arc<SegmentCache>>,
+    /// so re-queries over slightly-changed corpora skip the unchanged
+    /// segments.
+    pub(crate) segment_cache: Option<Arc<SegmentCache>>,
+}
+
+/// What [`Pipeline::run`] hands back to its runner: the merged
+/// `relations[doc][member]`, the runner-independent statistics, and
+/// every worker's report for the runner to fold into its own stats.
+pub(crate) struct PipelineRun<R> {
+    pub(crate) relations: Vec<Vec<SpanRelation>>,
+    pub(crate) stats: CorpusStats,
+    pub(crate) reports: Vec<R>,
+}
+
+impl Pipeline {
+    /// Streams chunked documents through the splitter into the workers.
+    pub(crate) fn run_streams<E, D, C, B>(&self, eval: &Arc<E>, docs: D) -> PipelineRun<E::Report>
+    where
+        E: SegmentEval,
+        D: IntoIterator<Item = C>,
+        C: IntoIterator<Item = B>,
+        B: AsRef<[u8]>,
+    {
+        self.run(eval, docs, |feed, di, doc| {
+            let mut splitter = StreamingSplitter::new(&self.splitter);
+            for chunk in doc {
+                for seg in splitter.push(chunk.as_ref()) {
+                    feed.segment(di, SegPayload::Owned(seg));
+                }
+            }
+            feed.stats.peak_buffered_bytes = feed
+                .stats
+                .peak_buffered_bytes
+                .max(splitter.peak_buffered_bytes());
+            feed.stats.prefilter.bytes_skipped += splitter.bytes_skipped();
+            for seg in splitter.finish() {
+                feed.segment(di, SegPayload::Owned(seg));
+            }
+        })
+    }
+
+    /// Feeds already-split documents, skipping the splitter.
+    pub(crate) fn run_presplit<'a, E, D>(&self, eval: &Arc<E>, docs: D) -> PipelineRun<E::Report>
+    where
+        E: SegmentEval,
+        D: IntoIterator<Item = (&'a [u8], &'a [Span])>,
+    {
+        self.run(eval, docs, |feed, di, (bytes, spans)| {
+            // One copy of the document, shared by every segment — the
+            // per-segment cost is an `Arc` clone, not a byte copy, which
+            // is what keeps the all-hits re-query path ahead of a full
+            // rescan.
+            let doc = Arc::new(bytes.to_vec());
+            for &span in spans {
+                feed.segment(
+                    di,
+                    SegPayload::Shared {
+                        doc: doc.clone(),
+                        span,
+                    },
+                );
+            }
+        })
+    }
+
+    /// Materialized documents through the streaming path, in
+    /// [`CorpusRunnerConfig::chunk_bytes`] chunks.
+    pub(crate) fn run_slices<E: SegmentEval>(
+        &self,
+        eval: &Arc<E>,
+        docs: &[&[u8]],
+    ) -> PipelineRun<E::Report> {
+        let chunk = self.config.chunk_bytes.max(1);
+        self.run_streams(eval, docs.iter().map(|d| d.chunks(chunk)))
+    }
+
+    /// The pipeline body: spins up the worker side, lets `produce` feed
+    /// each document's segments through a [`Feed`] (which batches and
+    /// applies backpressure), then collects and deterministically merges
+    /// worker outputs.
+    fn run<E, I, P>(&self, eval: &Arc<E>, docs: I, mut produce: P) -> PipelineRun<E::Report>
+    where
+        E: SegmentEval,
+        I: IntoIterator,
+        P: FnMut(&mut Feed<'_>, usize, I::Item),
+    {
+        let config = self.config.normalized();
+        let width = eval.width();
+        // An evaluator with no members (an empty fleet) needs no work:
+        // documents are counted but never split, scanned, or dispatched.
+        let workers = if width == 0 { 0 } else { config.workers };
+        let mut stats = CorpusStats::default();
+        let mut partials: Vec<(usize, usize, Vec<SpanTuple>)> = Vec::new();
+        let mut reports = Vec::with_capacity(workers);
+
+        let (tx, rx) = sync_channel::<Batch>(config.queue_depth);
+        let rx = Arc::new(Mutex::new(rx));
+        // Set when any worker's evaluation panics. Workers keep draining
+        // the queue afterwards (without evaluating), so the producer's
+        // blocking `send` on the bounded queue can never deadlock; the
+        // panic is re-raised below once every worker has reported.
+        let failed = Arc::new(AtomicBool::new(false));
+        // Worker contexts are fully owned (`Arc` clones of the
+        // evaluator, queue, and failure flag), so the same loop runs on
+        // a shared long-lived [`EvalPool`] or on per-run spawned threads.
+        let (out_tx, out_rx) = std::sync::mpsc::channel::<WorkerOutput<E::Report>>();
+        let mut handles = Vec::new();
+        for _ in 0..workers {
+            let eval = eval.clone();
+            let rx = rx.clone();
+            let failed = failed.clone();
+            let out_tx = out_tx.clone();
+            let seg_cache = self.segment_cache.clone();
+            let job = move || {
+                let _ = out_tx.send(worker_loop(&*eval, seg_cache.as_deref(), &rx, &failed));
+            };
+            match &self.pool {
+                Some(pool) => pool.execute(Box::new(job)),
+                None => handles.push(std::thread::spawn(job)),
+            }
+        }
+        drop(out_tx);
+
+        // Producer: `produce` feeds segments on the calling thread; the
+        // feed accumulates them (across document boundaries) until the
+        // batch payload target is reached, then blocks on the bounded
+        // queue — that block is the backpressure that caps in-flight
+        // memory.
+        let mut feed = Feed {
+            tx,
+            batch: Vec::new(),
+            batch_bytes: 0,
+            target: config.batch_bytes,
+            stats: &mut stats,
+        };
+        for (di, doc) in docs.into_iter().enumerate() {
+            feed.stats.docs += 1;
+            if workers > 0 {
+                produce(&mut feed, di, doc);
+            }
+        }
+        feed.flush();
+        drop(feed);
+
+        // Collect exactly one report per worker. A worker that died
+        // before reporting (a panic outside the catch — a bug) shows up
+        // as a disconnected channel and is surfaced as a failure.
+        for _ in 0..workers {
+            match out_rx.recv() {
+                Ok((tuples, report)) => {
+                    partials.extend(tuples);
+                    reports.push(report);
+                }
+                Err(_) => {
+                    failed.store(true, Ordering::Relaxed);
+                    break;
+                }
+            }
+        }
+        for h in handles {
+            let _ = h.join();
+        }
+        assert!(
+            !failed.load(Ordering::Relaxed),
+            "a runner worker panicked while evaluating a batch"
+        );
+
+        // Deterministic aggregation: `from_tuples` sorts and dedups per
+        // (doc, member), so the result is independent of batch and
+        // worker scheduling.
+        let mut per: Vec<Vec<Vec<SpanTuple>>> = (0..stats.docs)
+            .map(|_| (0..width).map(|_| Vec::new()).collect())
+            .collect();
+        for (di, mi, tuples) in partials {
+            per[di][mi].extend(tuples);
+        }
+        PipelineRun {
+            relations: per
+                .into_iter()
+                .map(|row| row.into_iter().map(SpanRelation::from_tuples).collect())
+                .collect(),
+            stats,
+            reports,
+        }
+    }
+}
+
+/// What one worker hands back when the queue drains: shifted tuples
+/// keyed by `(doc, member)`, plus its report.
+type WorkerOutput<R> = (Vec<(usize, usize, Vec<SpanTuple>)>, R);
+
+/// One evaluation worker: drains the queue, evaluates each segment
+/// with worker-local scratch, and returns shifted tuples keyed by
+/// `(doc, member)`. Evaluation panics are caught and recorded in
+/// `failed` — the worker then keeps draining (without evaluating) so
+/// the producer never deadlocks on the bounded queue.
+///
+/// A free function over owned/shared contexts (not a method) so the
+/// same loop body runs on per-run threads and on a long-lived
+/// [`EvalPool`].
+fn worker_loop<E: SegmentEval>(
+    eval: &E,
+    seg_cache: Option<&SegmentCache>,
+    rx: &Mutex<Receiver<Batch>>,
+    failed: &AtomicBool,
+) -> WorkerOutput<E::Report> {
+    let mut scratch = eval.scratch();
+    let mut out: Vec<(usize, usize, Vec<SpanTuple>)> = Vec::new();
+    loop {
+        // Hold the lock across `recv`: batches are coarse, so the
+        // serialization this imposes on the pop path is noise, and it
+        // keeps the pool free of a lock-free queue dependency.
+        let batch = match rx.lock().recv() {
+            Ok(b) => b,
+            Err(_) => break, // producer hung up and queue drained
+        };
+        if failed.load(Ordering::Relaxed) {
+            continue; // drain-only after a failure elsewhere
+        }
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut local: Vec<(usize, usize, Vec<SpanTuple>)> = Vec::new();
+            for (di, seg) in &batch.segments {
+                let (bytes, span) = (seg.bytes(), seg.span());
+                eval.eval_into(bytes, seg_cache, &mut scratch, |mi, rel| {
+                    if !rel.is_empty() {
+                        local.push((*di, mi, rel.iter().map(|t| t.shift(span)).collect()));
+                    }
+                });
+            }
+            local
+        }));
+        match result {
+            Ok(tuples) => out.extend(tuples),
+            Err(_) => failed.store(true, Ordering::Relaxed),
+        }
+    }
+    (out, E::report(scratch))
+}
+
+/// Streaming sharded corpus executor: one [`ExecSpanner`] over the
+/// shared pipeline (see the [module docs](self)). Construct with
+/// [`CorpusRunner::new`] or [`crate::RunnerOptions::corpus_runner`] and
+/// feed a corpus with [`CorpusRunner::run_streams`] (chunked sources),
+/// [`CorpusRunner::run_slices`] (materialized documents, driven through
+/// the same streaming path), or [`CorpusRunner::run_presplit`].
+#[derive(Debug)]
+pub struct CorpusRunner {
+    pub(crate) spanner: Arc<ExecSpanner>,
+    pub(crate) pipeline: Pipeline,
 }
 
 impl CorpusRunner {
     /// Creates a runner evaluating `spanner` over the segments produced
-    /// by `splitter`. For results equal to whole-document evaluation the
-    /// pair must be certified split-correct; the runner itself computes
-    /// `P_S ∘ S` faithfully either way.
+    /// by `splitter`, on per-run spawned workers. For results equal to
+    /// whole-document evaluation the pair must be certified
+    /// split-correct; the runner itself computes `P_S ∘ S` faithfully
+    /// either way.
     pub fn new(
         spanner: ExecSpanner,
         splitter: CompiledSplitter,
         config: CorpusRunnerConfig,
     ) -> CorpusRunner {
-        CorpusRunner {
-            spanner,
-            splitter,
-            config,
-            pool: None,
-            segment_cache: None,
-        }
-    }
-
-    /// [`CorpusRunner::new`], but evaluation workers run on the shared
-    /// long-lived `pool` instead of per-run spawned threads. Results are
-    /// identical; only the thread lifecycle differs — a server reusing
-    /// one pool across requests pays zero spawn/join per request. A pool
-    /// smaller than `config.workers` still completes every run (worker
-    /// loops are self-draining; see [`crate::pool`]).
-    pub fn with_pool(
-        spanner: ExecSpanner,
-        splitter: CompiledSplitter,
-        config: CorpusRunnerConfig,
-        pool: Arc<EvalPool>,
-    ) -> CorpusRunner {
-        CorpusRunner {
-            spanner,
-            splitter,
-            config,
-            pool: Some(pool),
-            segment_cache: None,
-        }
+        crate::RunnerOptions::new()
+            .config(config)
+            .corpus_runner(spanner, splitter)
     }
 
     /// Attaches a shared [`SegmentCache`]: workers look each segment up
@@ -262,19 +566,13 @@ impl CorpusRunner {
     /// with or without a cache (hits return exactly the relation the
     /// engine would compute; the deterministic merge is unchanged).
     pub fn with_segment_cache(mut self, cache: Arc<SegmentCache>) -> CorpusRunner {
-        self.segment_cache = Some(cache);
+        self.pipeline.segment_cache = Some(cache);
         self
     }
 
     /// The runner's configuration.
     pub fn config(&self) -> &CorpusRunnerConfig {
-        &self.config
-    }
-
-    /// Stable identity of the compiled spanner, used by
-    /// [`crate::CorpusHandle`] to key its per-shard extraction memo.
-    pub(crate) fn spanner_cache_id(&self) -> u64 {
-        self.spanner.cache_id()
+        &self.pipeline.config
     }
 
     /// Streams a corpus of chunked document sources through the
@@ -287,25 +585,7 @@ impl CorpusRunner {
         C: IntoIterator<Item = B>,
         B: AsRef<[u8]>,
     {
-        self.run_pipeline(|feed| {
-            for (di, doc) in docs.into_iter().enumerate() {
-                feed.stats.docs += 1;
-                let mut splitter = StreamingSplitter::new(&self.splitter);
-                for chunk in doc {
-                    for seg in splitter.push(chunk.as_ref()) {
-                        feed.segment(di, SegPayload::Owned(seg));
-                    }
-                }
-                feed.stats.peak_buffered_bytes = feed
-                    .stats
-                    .peak_buffered_bytes
-                    .max(splitter.peak_buffered_bytes());
-                feed.stats.prefilter.bytes_skipped += splitter.bytes_skipped();
-                for seg in splitter.finish() {
-                    feed.segment(di, SegPayload::Owned(seg));
-                }
-            }
-        })
+        corpus_result(self.pipeline.run_streams(&self.spanner, docs))
     }
 
     /// Evaluates documents whose split is **already known**, skipping
@@ -323,126 +603,7 @@ impl CorpusRunner {
     where
         D: IntoIterator<Item = (&'a [u8], &'a [Span])>,
     {
-        self.run_pipeline(|feed| {
-            for (di, (bytes, spans)) in docs.into_iter().enumerate() {
-                feed.stats.docs += 1;
-                // One copy of the document, shared by every segment —
-                // the per-segment cost is an `Arc` clone, not a byte
-                // copy, which is what keeps the all-hits re-query path
-                // ahead of a full rescan.
-                let doc = Arc::new(bytes.to_vec());
-                for &span in spans {
-                    feed.segment(
-                        di,
-                        SegPayload::Shared {
-                            doc: doc.clone(),
-                            span,
-                        },
-                    );
-                }
-            }
-        })
-    }
-
-    /// The shared pipeline body: spins up the worker side, lets
-    /// `produce` feed segments through a [`Feed`] (which batches and
-    /// applies backpressure), then collects and deterministically merges
-    /// worker outputs.
-    fn run_pipeline<F>(&self, produce: F) -> CorpusResult
-    where
-        F: FnOnce(&mut Feed<'_>),
-    {
-        let config = self.config.normalized();
-        let workers = config.workers;
-        let mut stats = CorpusStats::default();
-        let mut partials: Vec<(usize, Vec<SpanTuple>)> = Vec::new();
-        let mut cache_stats = DenseCacheStats::default();
-        let mut prefilter_stats = PrefilterStats::default();
-
-        let (tx, rx) = sync_channel::<Batch>(config.queue_depth);
-        let rx = Arc::new(Mutex::new(rx));
-        // Set when any worker's evaluation panics. Workers keep draining
-        // the queue afterwards (without evaluating), so the producer's
-        // blocking `send` on the bounded queue can never deadlock; the
-        // panic is re-raised below once every worker has reported.
-        let failed = Arc::new(AtomicBool::new(false));
-        // Worker contexts are fully owned (`Arc` clones of the backend,
-        // queue, and failure flag), so the same loop runs on a shared
-        // long-lived [`EvalPool`] or on per-run spawned threads.
-        let (out_tx, out_rx) = std::sync::mpsc::channel::<WorkerOutput>();
-        let seg_cache = self
-            .segment_cache
-            .clone()
-            .map(|c| (c, self.spanner.cache_id()));
-        let mut handles = Vec::new();
-        for _ in 0..workers {
-            let backend = self.spanner.backend().clone();
-            let rx = rx.clone();
-            let failed = failed.clone();
-            let out_tx = out_tx.clone();
-            let seg_cache = seg_cache.clone();
-            let job = move || {
-                let _ = out_tx.send(worker_loop(&backend, seg_cache.as_ref(), &rx, &failed));
-            };
-            match &self.pool {
-                Some(pool) => pool.execute(Box::new(job)),
-                None => handles.push(std::thread::spawn(job)),
-            }
-        }
-        drop(out_tx);
-
-        // Producer: the `produce` closure feeds segments on the calling
-        // thread; the feed accumulates them (across document boundaries)
-        // until the batch payload target is reached, then blocks on the
-        // bounded queue — that block is the backpressure that caps
-        // in-flight memory.
-        let mut feed = Feed {
-            tx,
-            batch: Vec::new(),
-            batch_bytes: 0,
-            target: config.batch_bytes,
-            stats: &mut stats,
-        };
-        produce(&mut feed);
-        feed.flush();
-        drop(feed);
-
-        // Collect exactly one report per worker. A worker that died
-        // before reporting (a panic outside the catch — a bug) shows up
-        // as a disconnected channel and is surfaced as a failure.
-        for _ in 0..workers {
-            match out_rx.recv() {
-                Ok((tuples, cache, prefilter)) => {
-                    partials.extend(tuples);
-                    cache_stats = cache_stats.merge(cache);
-                    prefilter_stats = prefilter_stats.merge(prefilter);
-                }
-                Err(_) => {
-                    failed.store(true, Ordering::Relaxed);
-                    break;
-                }
-            }
-        }
-        for h in handles {
-            let _ = h.join();
-        }
-        assert!(
-            !failed.load(Ordering::Relaxed),
-            "a corpus worker panicked while evaluating a batch"
-        );
-
-        stats.cache = cache_stats;
-        stats.prefilter = stats.prefilter.merge(prefilter_stats);
-        // Deterministic aggregation: `from_tuples` sorts and dedups, so
-        // the result is independent of batch and worker scheduling.
-        let mut per_doc: Vec<Vec<SpanTuple>> = (0..stats.docs).map(|_| Vec::new()).collect();
-        for (di, tuples) in partials {
-            per_doc[di].extend(tuples);
-        }
-        CorpusResult {
-            relations: per_doc.into_iter().map(SpanRelation::from_tuples).collect(),
-            stats,
-        }
+        corpus_result(self.pipeline.run_presplit(&self.spanner, docs))
     }
 
     /// Runs already-materialized documents through the streaming path,
@@ -451,88 +612,33 @@ impl CorpusRunner {
     /// `e5_corpus_stream` benchmark compare against
     /// [`crate::evaluate_many_split`].
     pub fn run_slices(&self, docs: &[&[u8]]) -> CorpusResult {
-        let chunk = self.config.chunk_bytes.max(1);
-        self.run_streams(docs.iter().map(|d| d.chunks(chunk)))
+        corpus_result(self.pipeline.run_slices(&self.spanner, docs))
     }
 }
 
-/// What one worker hands back when the queue drains.
-type WorkerOutput = (
-    Vec<(usize, Vec<SpanTuple>)>,
-    DenseCacheStats,
-    PrefilterStats,
-);
-
-/// One evaluation worker: drains the queue, evaluates each segment
-/// with a worker-local dense cache, and returns shifted tuples
-/// grouped by document index. Evaluation panics are caught and
-/// recorded in `failed` — the worker then keeps draining (without
-/// evaluating) so the producer never deadlocks on the bounded queue.
-///
-/// A free function over owned/shared contexts (not a method) so the
-/// same loop body runs on per-run threads and on a long-lived
-/// [`EvalPool`].
-fn worker_loop(
-    backend: &Arc<dyn EngineBackend>,
-    seg_cache: Option<&(Arc<SegmentCache>, u64)>,
-    rx: &Mutex<Receiver<Batch>>,
-    failed: &AtomicBool,
-) -> WorkerOutput {
-    let mut cache = DenseCache::default();
-    let mut prefilter_stats = PrefilterStats::default();
-    let mut out: Vec<(usize, Vec<SpanTuple>)> = Vec::new();
-    loop {
-        // Hold the lock across `recv`: batches are coarse, so the
-        // serialization this imposes on the pop path is noise, and it
-        // keeps the pool free of a lock-free queue dependency.
-        let batch = match rx.lock().recv() {
-            Ok(b) => b,
-            Err(_) => break, // producer hung up and queue drained
-        };
-        if failed.load(Ordering::Relaxed) {
-            continue; // drain-only after a failure elsewhere
-        }
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut local_out: Vec<(usize, Vec<SpanTuple>)> = Vec::new();
-            for (di, seg) in batch.segments {
-                let (bytes, span) = (seg.bytes(), seg.span());
-                // Segment relations are pure functions of the bytes, so
-                // a content-addressed hit is byte-identical to the
-                // engine dispatch it replaces; hits shift straight out
-                // of the shared cached relation (no intermediate clone).
-                let tuples: Vec<SpanTuple> = match seg_cache {
-                    Some((sc, id)) => sc
-                        .get_or_eval(*id, bytes, || {
-                            backend.eval_scratch(bytes, &mut cache, &mut prefilter_stats)
-                        })
-                        .0
-                        .iter()
-                        .map(|t| t.shift(span))
-                        .collect(),
-                    None => backend
-                        .eval_scratch(bytes, &mut cache, &mut prefilter_stats)
-                        .iter()
-                        .map(|t| t.shift(span))
-                        .collect(),
-                };
-                if !tuples.is_empty() {
-                    local_out.push((di, tuples));
-                }
-            }
-            local_out
-        }));
-        match result {
-            Ok(tuples) => out.extend(tuples),
-            Err(_) => failed.store(true, Ordering::Relaxed),
-        }
+/// Folds the workers' engine caches and prefilter counters into the
+/// run statistics and unwraps the single relation per document.
+fn corpus_result(run: PipelineRun<(DenseCacheStats, PrefilterStats)>) -> CorpusResult {
+    let mut stats = run.stats;
+    for (cache, prefilter) in run.reports {
+        stats.cache = stats.cache.merge(cache);
+        stats.prefilter = stats.prefilter.merge(prefilter);
     }
-    (out, cache.stats(), prefilter_stats)
+    CorpusResult {
+        relations: run
+            .relations
+            .into_iter()
+            .map(|mut row| row.pop().expect("one relation per document"))
+            .collect(),
+        stats,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::{evaluate_many_split, split_fn_of_splitter, Engine, SplitFn};
+    use crate::RunnerOptions;
     use splitc_spanner::rgx::Rgx;
     use splitc_spanner::splitter;
     use splitc_spanner::vsa::Vsa;
@@ -712,19 +818,39 @@ mod tests {
         // *smaller* than the requested worker count (self-draining
         // loops must still complete the run).
         for pool_size in [1, 2, 8] {
-            let pool = std::sync::Arc::new(EvalPool::new(pool_size));
+            let pool = Arc::new(EvalPool::new(pool_size));
             for _request in 0..3 {
-                let r = CorpusRunner::with_pool(
-                    ExecSpanner::compile(&vsa(".*x{a+}.*")),
-                    splitter::sentences().compile(),
-                    config,
-                    pool.clone(),
-                );
+                let r = RunnerOptions::new()
+                    .config(config)
+                    .pool(pool.clone())
+                    .corpus_runner(
+                        ExecSpanner::compile(&vsa(".*x{a+}.*")),
+                        splitter::sentences().compile(),
+                    );
                 let got = r.run_slices(&refs);
                 assert_eq!(got.relations, spawned.relations, "pool size {pool_size}");
             }
             assert!(pool.stats().submitted >= 3, "pool was actually used");
         }
+    }
+
+    #[test]
+    fn repeated_segments_hit_segment_cache() {
+        let cache = Arc::new(SegmentCache::new(64));
+        let r = runner(
+            ".*x{a+}.*",
+            CorpusRunnerConfig {
+                workers: 1,
+                ..Default::default()
+            },
+        )
+        .with_segment_cache(cache.clone());
+        let got = r.run_slices(&[b"aa.aa.aa"]); // three identical segments
+        let s = cache.stats();
+        assert_eq!((s.misses, s.hits), (1, 2));
+        // Per segment: x ∈ {a@0, a@1, aa} — 3 tuples, shifted apart.
+        assert_eq!(got.relations[0].len(), 9, "shifted copies are distinct");
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]
@@ -742,5 +868,91 @@ mod tests {
         assert_eq!(zeroed.chunk_bytes, 1);
         let kept = CorpusRunnerConfig::default().normalized();
         assert_eq!(kept.workers, CorpusRunnerConfig::default().workers);
+    }
+
+    /// A stand-in evaluator that panics on any segment holding a `!`
+    /// and reports nothing otherwise — the one way to drive a real
+    /// worker panic through the pipeline.
+    struct PanicOnMark;
+
+    impl SegmentEval for PanicOnMark {
+        type Scratch = ();
+        type Report = ();
+        fn width(&self) -> usize {
+            1
+        }
+        fn scratch(&self) {}
+        fn report(_: ()) {}
+        fn eval_into(
+            &self,
+            bytes: &[u8],
+            _: Option<&SegmentCache>,
+            _: &mut (),
+            _: impl FnMut(usize, &SpanRelation),
+        ) {
+            assert!(!bytes.contains(&b'!'), "marked segment");
+        }
+    }
+
+    #[test]
+    fn worker_panic_is_reraised_without_deadlock() {
+        // Many one-byte batches through a one-slot queue to a single
+        // worker, with the marked segment early: the producer can only
+        // finish if that worker keeps draining after its panic.
+        let docs: Vec<Vec<u8>> = (0..64)
+            .map(|i| format!("aa{i}. bb{i}").into_bytes())
+            .collect();
+        let mut marked = docs.clone();
+        marked[2] = b"boom!. aa".to_vec();
+        let config = CorpusRunnerConfig {
+            workers: 1,
+            batch_bytes: 1,
+            queue_depth: 1,
+            chunk_bytes: 2,
+        };
+        let pool = Arc::new(EvalPool::new(1));
+        for pool in [None, Some(pool.clone())] {
+            let pipeline = Pipeline {
+                splitter: splitter::sentences().compile(),
+                config,
+                pool,
+                segment_cache: None,
+            };
+            let marked = marked.clone();
+            // Run on a helper thread so a deadlock fails the test
+            // instead of hanging it.
+            let (tx, rx) = std::sync::mpsc::channel();
+            let helper = std::thread::spawn(move || {
+                let refs: Vec<&[u8]> = marked.iter().map(Vec::as_slice).collect();
+                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    pipeline.run_slices(&Arc::new(PanicOnMark), &refs)
+                }));
+                let _ = tx.send(outcome.is_err());
+            });
+            let reraised = rx
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .expect("a panicking run must finish, not deadlock");
+            helper.join().expect("the helper catches the run's panic");
+            assert!(reraised, "the worker panic must be re-raised");
+        }
+
+        // The one-thread pool survived the panicked run and serves a
+        // correct one; batches far outnumber the queue's single slot.
+        let refs: Vec<&[u8]> = docs.iter().map(Vec::as_slice).collect();
+        let pooled = RunnerOptions::new()
+            .config(config)
+            .pool(pool.clone())
+            .corpus_runner(
+                ExecSpanner::compile(&vsa(".*x{a+}.*")),
+                splitter::sentences().compile(),
+            )
+            .run_slices(&refs);
+        let spawned = runner(".*x{a+}.*", config).run_slices(&refs);
+        assert_eq!(pooled.relations, spawned.relations);
+        assert_eq!(pooled.stats.docs, 64);
+        assert!(
+            pooled.stats.batches > 8,
+            "tiny batches should outnumber the queue"
+        );
     }
 }

@@ -7,8 +7,8 @@
 //! streamed pass:
 //!
 //! 1. **One split pass** — the corpus is streamed through a single
-//!    [`StreamingSplitter`], so splitter work and I/O are paid once,
-//!    not once per member.
+//!    [`crate::StreamingSplitter`], so splitter work and I/O are paid
+//!    once, not once per member.
 //! 2. **One shared byte partition** — all dense members are compiled
 //!    over the coarsest common refinement of every member's transition
 //!    masks ([`DenseEvsa::compile_with_classes`]), so the fleet shares
@@ -27,24 +27,27 @@
 //! members sequentially, which the differential and metamorphic test
 //! suites assert.
 //!
+//! One pipeline, two evaluators: the fused per-segment pass above is
+//! all this module adds. A [`FleetRunner`] drives it through the same
+//! crate-private pipeline as [`crate::CorpusRunner`] (see
+//! [`crate::corpus`]) — the split, batching, bounded queue, workers,
+//! and `(document, member)` merge are shared, not duplicated.
+//!
 //! [`DenseEvsa::compile_with_classes`]: splitc_spanner::dense::DenseEvsa::compile_with_classes
 
-use crate::corpus::SegPayload;
+use crate::corpus::{CorpusRunnerConfig, Pipeline, PipelineRun, SegmentEval};
 use crate::engine::{Engine, ExecSpanner};
-use crate::pool::EvalPool;
 use crate::segcache::SegmentCache;
-use crate::stream::StreamingSplitter;
 use parking_lot::Mutex;
 use splitc_automata::classes::{ByteClassBuilder, ByteClasses};
 use splitc_automata::scan::{ByteFinder, MultiNeedle};
 use splitc_spanner::dense::{DenseCache, DenseCacheStats, DenseConfig};
 use splitc_spanner::evsa::EVsa;
 use splitc_spanner::prefilter::{PrefilterAnalysis, PrefilterStats};
+use splitc_spanner::span::Span;
 use splitc_spanner::splitter::CompiledSplitter;
-use splitc_spanner::tuple::{SpanRelation, SpanTuple};
+use splitc_spanner::tuple::SpanRelation;
 use splitc_spanner::vsa::Vsa;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::Arc;
 
 /// Largest per-member needle set enrolled in the shared scanner. A
@@ -139,7 +142,7 @@ pub struct FleetResult {
 /// epoch-stamped evidence buffers of the fused gate. One instance per
 /// worker thread (or pooled, for the whole-document entry point).
 #[derive(Debug)]
-struct FleetScratch {
+pub(crate) struct FleetScratch {
     caches: Vec<DenseCache>,
     /// Cheap-gate verdict per member for the segment being processed.
     cheap_pass: Vec<bool>,
@@ -152,7 +155,7 @@ struct FleetScratch {
 
 /// Per-worker counters, merged into [`FleetStats`] after the run.
 #[derive(Debug, Clone)]
-struct Tally {
+pub(crate) struct Tally {
     shared_scan_bytes: u64,
     dispatches: u64,
     gate_rejected: u64,
@@ -180,7 +183,7 @@ pub struct Fleet {
     /// Owning member per needle id.
     needle_owner: Vec<u32>,
     /// Pooled scratch for the whole-document entry point.
-    scratch_pool: Mutex<Vec<FleetScratch>>,
+    scratch_pool: Mutex<Vec<(FleetScratch, Tally)>>,
 }
 
 impl Fleet {
@@ -297,25 +300,56 @@ impl Fleet {
         &self.members[i].spanner
     }
 
-    fn new_scratch(&self) -> FleetScratch {
+    /// Fused whole-document evaluation: one relation per member, equal
+    /// to `member(i).eval(doc)` for every `i` (the differential suites
+    /// assert this). Uses pooled scratch; corpus-scale callers should
+    /// stream through a [`FleetRunner`] instead.
+    pub fn eval(&self, doc: &[u8]) -> Vec<SpanRelation> {
+        let mut out = vec![SpanRelation::empty(); self.members.len()];
+        let mut scratch = self
+            .scratch_pool
+            .lock()
+            .pop()
+            .unwrap_or_else(|| self.scratch());
+        self.eval_into(doc, None, &mut scratch, |mi, rel| out[mi] = rel.clone());
+        self.scratch_pool.lock().push(scratch);
+        out
+    }
+}
+
+impl SegmentEval for Fleet {
+    type Scratch = (FleetScratch, Tally);
+    type Report = (DenseCacheStats, Tally);
+
+    fn width(&self) -> usize {
+        self.members.len()
+    }
+
+    fn scratch(&self) -> Self::Scratch {
         let n = self.members.len();
-        FleetScratch {
+        let scratch = FleetScratch {
             caches: (0..n).map(|_| DenseCache::default()).collect(),
             cheap_pass: vec![false; n],
             evidence: vec![0; n],
             epoch: 0,
-        }
-    }
-
-    fn new_tally(&self) -> Tally {
-        Tally {
+        };
+        let tally = Tally {
             shared_scan_bytes: 0,
             dispatches: 0,
             gate_rejected: 0,
             scan_rejected: 0,
-            candidates: vec![0; self.members.len()],
+            candidates: vec![0; n],
             prefilter: PrefilterStats::default(),
-        }
+        };
+        (scratch, tally)
+    }
+
+    fn report((scratch, tally): Self::Scratch) -> Self::Report {
+        let cache = scratch
+            .caches
+            .iter()
+            .fold(DenseCacheStats::default(), |acc, c| acc.merge(c.stats()));
+        (cache, tally)
     }
 
     /// The fused per-segment pass: cheap gates → one shared scan with
@@ -329,12 +363,11 @@ impl Fleet {
     /// [`ExecSpanner::cache_id`]; a hit replaces the engine call with
     /// the byte-identical stored relation (gates and the shared scan
     /// still run — they are what keeps the per-member key space sparse).
-    fn eval_segment(
+    fn eval_into(
         &self,
         bytes: &[u8],
-        seg_cache: Option<&Arc<SegmentCache>>,
-        scratch: &mut FleetScratch,
-        tally: &mut Tally,
+        seg_cache: Option<&SegmentCache>,
+        (scratch, tally): &mut Self::Scratch,
         mut sink: impl FnMut(usize, &SpanRelation),
     ) {
         scratch.epoch += 1;
@@ -407,139 +440,34 @@ impl Fleet {
             }
         }
     }
-
-    /// Fused whole-document evaluation: one relation per member, equal
-    /// to `member(i).eval(doc)` for every `i` (the differential suites
-    /// assert this). Uses pooled scratch; corpus-scale callers should
-    /// stream through a [`FleetRunner`] instead.
-    pub fn eval(&self, doc: &[u8]) -> Vec<SpanRelation> {
-        let mut out = vec![SpanRelation::empty(); self.members.len()];
-        let mut scratch = self
-            .scratch_pool
-            .lock()
-            .pop()
-            .unwrap_or_else(|| self.new_scratch());
-        let mut tally = self.new_tally();
-        self.eval_segment(doc, None, &mut scratch, &mut tally, |mi, rel| {
-            out[mi] = rel.clone()
-        });
-        self.scratch_pool.lock().push(scratch);
-        out
-    }
-}
-
-/// What one fused worker hands back when the queue drains: shifted
-/// tuples keyed by `(doc, member)`, plus its cache and gate tallies.
-type WorkerOutput = (Vec<(usize, usize, Vec<SpanTuple>)>, DenseCacheStats, Tally);
-
-/// A batch of split segments bound for one fleet worker.
-struct Batch {
-    /// `(document index, segment)` pairs, in stream order.
-    segments: Vec<(usize, SegPayload)>,
-}
-
-/// The producer side of the fused pipeline (the fleet analogue of the
-/// corpus runner's feed): batches segments and dispatches them over the
-/// bounded queue, blocking when it is full.
-struct FleetFeed<'a> {
-    tx: std::sync::mpsc::SyncSender<Batch>,
-    batch: Vec<(usize, SegPayload)>,
-    batch_bytes: usize,
-    target: usize,
-    stats: &'a mut FleetStats,
-}
-
-impl FleetFeed<'_> {
-    fn segment(&mut self, di: usize, seg: SegPayload) {
-        let len = seg.bytes().len();
-        self.stats.segments += 1;
-        self.stats.segment_bytes += len as u64;
-        self.batch_bytes += len;
-        self.batch.push((di, seg));
-        if self.batch_bytes >= self.target {
-            self.flush();
-        }
-    }
-    fn flush(&mut self) {
-        if self.batch.is_empty() {
-            return;
-        }
-        self.stats.batches += 1;
-        self.batch_bytes = 0;
-        let _ = self.tx.send(Batch {
-            segments: std::mem::take(&mut self.batch),
-        });
-    }
-}
-
-/// The no-member short-circuit: documents are counted but never split,
-/// scanned, or dispatched.
-fn empty_fleet_result(docs_n: usize) -> FleetResult {
-    FleetResult {
-        relations: vec![Vec::new(); docs_n],
-        stats: FleetStats {
-            docs: docs_n,
-            ..FleetStats::default()
-        },
-    }
 }
 
 /// Streaming fused corpus executor: the fleet-wide analogue of
-/// [`crate::CorpusRunner`] — one splitter pass, one bounded queue, one
-/// worker pool, N spanners. Reuses [`crate::CorpusRunnerConfig`]
-/// (`workers`, `batch_bytes`, `queue_depth`, `chunk_bytes` mean exactly
-/// what they mean there).
+/// [`crate::CorpusRunner`] and the same pipeline — one splitter pass,
+/// one bounded queue, one worker pool, N spanners. Reuses
+/// [`CorpusRunnerConfig`] (`workers`, `batch_bytes`, `queue_depth`,
+/// `chunk_bytes` mean exactly what they mean there).
 #[derive(Debug)]
 pub struct FleetRunner {
-    fleet: Arc<Fleet>,
-    splitter: CompiledSplitter,
-    config: crate::corpus::CorpusRunnerConfig,
-    /// Shared long-lived worker pool. `None` spawns per-run threads;
-    /// services reuse one [`EvalPool`] across requests via
-    /// [`FleetRunner::with_pool`].
-    pool: Option<Arc<EvalPool>>,
-    /// Shared content-addressed segment cache, probed per surviving
-    /// `(segment, member)` dispatch (see [`Fleet::eval_segment`]).
-    segment_cache: Option<Arc<SegmentCache>>,
+    pub(crate) fleet: Arc<Fleet>,
+    pub(crate) pipeline: Pipeline,
 }
 
 impl FleetRunner {
     /// Creates a runner evaluating `fleet` over the segments produced by
-    /// `splitter`. As with [`crate::CorpusRunner`], results equal
-    /// whole-document evaluation exactly when each member is certified
-    /// split-correct for the splitter; the runner computes each
-    /// `P_S ∘ S` faithfully either way.
+    /// `splitter`, on per-run spawned workers. As with
+    /// [`crate::CorpusRunner`], results equal whole-document evaluation
+    /// exactly when each member is certified split-correct for the
+    /// splitter; the runner computes each `P_S ∘ S` faithfully either
+    /// way.
     pub fn new(
         fleet: Arc<Fleet>,
         splitter: CompiledSplitter,
-        config: crate::corpus::CorpusRunnerConfig,
+        config: CorpusRunnerConfig,
     ) -> FleetRunner {
-        FleetRunner {
-            fleet,
-            splitter,
-            config,
-            pool: None,
-            segment_cache: None,
-        }
-    }
-
-    /// [`FleetRunner::new`], but fused evaluation workers run on the
-    /// shared long-lived `pool` instead of per-run spawned threads —
-    /// identical results, zero thread spawn/join per request (see
-    /// [`crate::CorpusRunner::with_pool`]).
-    pub fn with_pool(
-        fleet: Arc<Fleet>,
-        splitter: CompiledSplitter,
-        config: crate::corpus::CorpusRunnerConfig,
-        pool: Arc<EvalPool>,
-    ) -> FleetRunner {
-        FleetRunner {
-            fleet,
-            splitter,
-            config,
-            pool: Some(pool),
-            segment_cache: None,
-        }
+        crate::RunnerOptions::new()
+            .config(config)
+            .fleet_runner(fleet, splitter)
     }
 
     /// Attaches a shared [`SegmentCache`]: each surviving
@@ -548,13 +476,13 @@ impl FleetRunner {
     /// are byte-identical with or without a cache (see
     /// [`crate::CorpusRunner::with_segment_cache`]).
     pub fn with_segment_cache(mut self, cache: Arc<SegmentCache>) -> FleetRunner {
-        self.segment_cache = Some(cache);
+        self.pipeline.segment_cache = Some(cache);
         self
     }
 
     /// The runner's configuration.
-    pub fn config(&self) -> &crate::corpus::CorpusRunnerConfig {
-        &self.config
+    pub fn config(&self) -> &CorpusRunnerConfig {
+        &self.pipeline.config
     }
 
     /// The fleet being evaluated.
@@ -575,28 +503,7 @@ impl FleetRunner {
         C: IntoIterator<Item = B>,
         B: AsRef<[u8]>,
     {
-        if self.fleet.members.is_empty() {
-            return empty_fleet_result(docs.into_iter().count());
-        }
-        self.run_pipeline(|feed| {
-            for (di, doc) in docs.into_iter().enumerate() {
-                feed.stats.docs += 1;
-                let mut splitter = StreamingSplitter::new(&self.splitter);
-                for chunk in doc {
-                    for seg in splitter.push(chunk.as_ref()) {
-                        feed.segment(di, SegPayload::Owned(seg));
-                    }
-                }
-                feed.stats.peak_buffered_bytes = feed
-                    .stats
-                    .peak_buffered_bytes
-                    .max(splitter.peak_buffered_bytes());
-                feed.stats.prefilter.bytes_skipped += splitter.bytes_skipped();
-                for seg in splitter.finish() {
-                    feed.segment(di, SegPayload::Owned(seg));
-                }
-            }
-        })
+        self.result(self.pipeline.run_streams(&self.fleet, docs))
     }
 
     /// Evaluates documents whose split is already known, skipping the
@@ -605,110 +512,35 @@ impl FleetRunner {
     /// the incremental layer to re-query maintained corpora.
     pub fn run_presplit<'a, D>(&self, docs: D) -> FleetResult
     where
-        D: IntoIterator<Item = (&'a [u8], &'a [splitc_spanner::span::Span])>,
+        D: IntoIterator<Item = (&'a [u8], &'a [Span])>,
     {
-        if self.fleet.members.is_empty() {
-            return empty_fleet_result(docs.into_iter().count());
-        }
-        self.run_pipeline(|feed| {
-            for (di, (bytes, spans)) in docs.into_iter().enumerate() {
-                feed.stats.docs += 1;
-                // One copy of the document shared by every segment —
-                // per-segment cost is an `Arc` clone, not a byte copy.
-                let doc = Arc::new(bytes.to_vec());
-                for &span in spans {
-                    feed.segment(
-                        di,
-                        SegPayload::Shared {
-                            doc: doc.clone(),
-                            span,
-                        },
-                    );
-                }
-            }
-        })
+        self.result(self.pipeline.run_presplit(&self.fleet, docs))
     }
 
-    /// The shared pipeline body (see
-    /// [`crate::CorpusRunner`]'s equivalent): worker setup, the
-    /// `produce`-driven batching feed, and deterministic collection.
-    fn run_pipeline<F>(&self, produce: F) -> FleetResult
-    where
-        F: FnOnce(&mut FleetFeed<'_>),
-    {
-        let config = self.config.normalized();
-        let workers = config.workers;
-        let n_members = self.fleet.members.len();
+    /// Runs already-materialized documents through the streaming path,
+    /// feeding each in [`CorpusRunnerConfig::chunk_bytes`]-sized
+    /// chunks — the entry point the differential tests and the
+    /// `e7_fleet` benchmark compare against per-member sequential runs.
+    pub fn run_slices(&self, docs: &[&[u8]]) -> FleetResult {
+        self.result(self.pipeline.run_slices(&self.fleet, docs))
+    }
+
+    /// Folds the workers' caches and gate tallies into [`FleetStats`].
+    pub(crate) fn result(&self, run: PipelineRun<(DenseCacheStats, Tally)>) -> FleetResult {
+        let s = run.stats;
         let mut stats = FleetStats {
-            candidates: vec![0; n_members],
+            docs: s.docs,
+            docs_reused: s.docs_reused,
+            segments: s.segments,
+            segment_bytes: s.segment_bytes,
+            batches: s.batches,
+            peak_buffered_bytes: s.peak_buffered_bytes,
+            candidates: vec![0; self.fleet.num_members()],
+            prefilter: s.prefilter,
             ..FleetStats::default()
         };
-        let mut partials: Vec<(usize, usize, Vec<SpanTuple>)> = Vec::new();
-        let mut cache_stats = DenseCacheStats::default();
-        let mut tallies: Vec<Tally> = Vec::new();
-
-        let (tx, rx) = sync_channel::<Batch>(config.queue_depth);
-        let rx = Arc::new(Mutex::new(rx));
-        // Same drain-on-panic protocol as the corpus runner: a worker
-        // that panics keeps draining without evaluating, so the
-        // producer's blocking send can never deadlock.
-        let failed = Arc::new(AtomicBool::new(false));
-        // Owned worker contexts, so the loop runs on a shared long-lived
-        // [`EvalPool`] or on per-run spawned threads (see CorpusRunner).
-        let (out_tx, out_rx) = std::sync::mpsc::channel::<WorkerOutput>();
-        let mut handles = Vec::new();
-        for _ in 0..workers {
-            let fleet = self.fleet.clone();
-            let rx = rx.clone();
-            let failed = failed.clone();
-            let out_tx = out_tx.clone();
-            let seg_cache = self.segment_cache.clone();
-            let job = move || {
-                let _ = out_tx.send(fleet_worker_loop(&fleet, seg_cache.as_ref(), &rx, &failed));
-            };
-            match &self.pool {
-                Some(pool) => pool.execute(Box::new(job)),
-                None => handles.push(std::thread::spawn(job)),
-            }
-        }
-        drop(out_tx);
-
-        let mut feed = FleetFeed {
-            tx,
-            batch: Vec::new(),
-            batch_bytes: 0,
-            target: config.batch_bytes,
-            stats: &mut stats,
-        };
-        produce(&mut feed);
-        feed.flush();
-        drop(feed);
-
-        // Exactly one report per worker; a disconnect before all have
-        // reported means a worker died outside the catch (a bug).
-        for _ in 0..workers {
-            match out_rx.recv() {
-                Ok((tuples, cache, tally)) => {
-                    partials.extend(tuples);
-                    cache_stats = cache_stats.merge(cache);
-                    tallies.push(tally);
-                }
-                Err(_) => {
-                    failed.store(true, Ordering::Relaxed);
-                    break;
-                }
-            }
-        }
-        for h in handles {
-            let _ = h.join();
-        }
-        assert!(
-            !failed.load(Ordering::Relaxed),
-            "a fleet worker panicked while evaluating a batch"
-        );
-
-        stats.cache = cache_stats;
-        for t in tallies {
+        for (cache, t) in run.reports {
+            stats.cache = stats.cache.merge(cache);
             stats.shared_scan_bytes += t.shared_scan_bytes;
             stats.dispatches += t.dispatches;
             stats.gate_rejected += t.gate_rejected;
@@ -718,84 +550,18 @@ impl FleetRunner {
             }
             stats.prefilter = stats.prefilter.merge(t.prefilter);
         }
-        // Deterministic aggregation, independent of batch and worker
-        // scheduling: `from_tuples` sorts and dedups per (doc, member).
-        let mut per: Vec<Vec<Vec<SpanTuple>>> = (0..stats.docs)
-            .map(|_| (0..n_members).map(|_| Vec::new()).collect())
-            .collect();
-        for (di, mi, tuples) in partials {
-            per[di][mi].extend(tuples);
-        }
         FleetResult {
-            relations: per
-                .into_iter()
-                .map(|row| row.into_iter().map(SpanRelation::from_tuples).collect())
-                .collect(),
+            relations: run.relations,
             stats,
         }
     }
-
-    /// Runs already-materialized documents through the streaming path,
-    /// feeding each in [`crate::CorpusRunnerConfig::chunk_bytes`]-sized
-    /// chunks — the entry point the differential tests and the
-    /// `e7_fleet` benchmark compare against per-member sequential runs.
-    pub fn run_slices(&self, docs: &[&[u8]]) -> FleetResult {
-        let chunk = self.config.chunk_bytes.max(1);
-        self.run_streams(docs.iter().map(|d| d.chunks(chunk)))
-    }
-}
-
-/// One fused evaluation worker: drains the queue and runs the fused
-/// per-segment pass with worker-local scratch, returning shifted
-/// tuples keyed by `(doc, member)`. A free function over owned/shared
-/// contexts so the same loop runs on per-run threads and on a
-/// long-lived [`EvalPool`].
-fn fleet_worker_loop(
-    fleet: &Arc<Fleet>,
-    seg_cache: Option<&Arc<SegmentCache>>,
-    rx: &Mutex<Receiver<Batch>>,
-    failed: &AtomicBool,
-) -> WorkerOutput {
-    let mut scratch = fleet.new_scratch();
-    let mut tally = fleet.new_tally();
-    let mut out: Vec<(usize, usize, Vec<SpanTuple>)> = Vec::new();
-    loop {
-        let batch = match rx.lock().recv() {
-            Ok(b) => b,
-            Err(_) => break, // producer hung up and queue drained
-        };
-        if failed.load(Ordering::Relaxed) {
-            continue; // drain-only after a failure elsewhere
-        }
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut local: Vec<(usize, usize, Vec<SpanTuple>)> = Vec::new();
-            for (di, seg) in &batch.segments {
-                let (bytes, span) = (seg.bytes(), seg.span());
-                fleet.eval_segment(bytes, seg_cache, &mut scratch, &mut tally, |mi, rel| {
-                    if !rel.is_empty() {
-                        let tuples: Vec<SpanTuple> = rel.iter().map(|t| t.shift(span)).collect();
-                        local.push((*di, mi, tuples));
-                    }
-                });
-            }
-            local
-        }));
-        match result {
-            Ok(tuples) => out.extend(tuples),
-            Err(_) => failed.store(true, Ordering::Relaxed),
-        }
-    }
-    let cache = scratch
-        .caches
-        .iter()
-        .fold(DenseCacheStats::default(), |acc, c| acc.merge(c.stats()));
-    (out, cache, tally)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::corpus::{CorpusRunner, CorpusRunnerConfig};
+    use crate::corpus::CorpusRunner;
+    use crate::{EvalPool, RunnerOptions};
     use splitc_spanner::rgx::Rgx;
     use splitc_spanner::splitter;
 
@@ -990,45 +756,13 @@ mod tests {
             .run_slices(&refs);
         let pool = Arc::new(EvalPool::new(2));
         for _request in 0..3 {
-            let pooled = FleetRunner::with_pool(
-                fleet.clone(),
-                splitter::sentences().compile(),
-                config,
-                pool.clone(),
-            )
-            .run_slices(&refs);
+            let pooled = RunnerOptions::new()
+                .config(config)
+                .pool(pool.clone())
+                .fleet_runner(fleet.clone(), splitter::sentences().compile())
+                .run_slices(&refs);
             assert_eq!(pooled.relations, spawned.relations);
         }
         assert!(pool.stats().submitted >= 3);
-    }
-
-    #[test]
-    fn worker_panic_does_not_deadlock() {
-        // A fleet over a corpus large enough to need several batches,
-        // with a member whose evaluation panics (induced via an
-        // unreachable assertion is not available, so instead assert the
-        // drain protocol indirectly: the runner completes under a tiny
-        // bounded queue even when batches vastly outnumber its depth).
-        let owned: Vec<Vec<u8>> = (0..64)
-            .map(|i| format!("qab{i}. qcd{i}").into_bytes())
-            .collect();
-        let refs: Vec<&[u8]> = owned.iter().map(Vec::as_slice).collect();
-        let fleet = Arc::new(fleet_of(&PATS, Engine::Dense));
-        let runner = FleetRunner::new(
-            fleet,
-            splitter::sentences().compile(),
-            CorpusRunnerConfig {
-                workers: 2,
-                batch_bytes: 1,
-                queue_depth: 1,
-                chunk_bytes: 2,
-            },
-        );
-        let got = runner.run_slices(&refs);
-        assert_eq!(got.stats.docs, 64);
-        assert!(
-            got.stats.batches > 8,
-            "tiny batches should outnumber the queue"
-        );
     }
 }

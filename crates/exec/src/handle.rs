@@ -321,7 +321,9 @@ impl CorpusHandle {
 
         // Reassemble: untouched prefix + resplit window + (shifted)
         // reused suffix.
-        let prefix_end = sh.segments.partition_point(|s| s.end <= left);
+        // An empty segment sitting exactly on `left` belongs to the window:
+        // the resplit starting there emits it again.
+        let prefix_end = sh.segments.partition_point(|s| s.start < left);
         let mut segments: Vec<Span> = sh.segments[..prefix_end].to_vec();
         let reused_prefix = segments.len();
         let resplit = new_segments.len();
@@ -418,28 +420,8 @@ impl CorpusHandle {
     /// statistics (segments, bytes, batches, engine counters) account
     /// the dirty shards actually streamed.
     pub fn extract(&self, runner: &CorpusRunner) -> CorpusResult {
-        let mut table = self.memo.lock();
-        let memo = memo_slot(
-            &mut table.corpus,
-            runner.spanner_cache_id(),
-            self.shards.len(),
-        );
-        let dirty = dirty_shards(&self.shards, memo);
-        let mut result = runner.run_presplit(dirty.iter().map(|&i| {
-            (
-                self.shards[i].bytes.as_slice(),
-                self.shards[i].segments.as_slice(),
-            )
-        }));
-        result.relations = assemble(
-            &self.shards,
-            memo,
-            &dirty,
-            std::mem::take(&mut result.relations),
-        );
-        result.stats.docs = self.shards.len();
-        result.stats.docs_reused = self.shards.len() - dirty.len();
-        result
+        let key = runner.spanner.cache_id();
+        self.extract_memoized(|t| &mut t.corpus, key, |docs| runner.run_presplit(docs))
     }
 
     /// [`CorpusHandle::extract`] for a fused fleet: the memo key is the
@@ -452,24 +434,53 @@ impl CorpusHandle {
         for i in 0..fleet.num_members() {
             key = (key ^ fleet.member(i).cache_id()).wrapping_mul(0x100000001b3);
         }
+        self.extract_memoized(|t| &mut t.fleet, key, |docs| runner.run_presplit(docs))
+    }
+
+    /// The body of both extract methods: finds memo `key` in the table
+    /// that `memos` selects, runs the shards dirty under it through
+    /// `run`, then assembles every shard's result from the fresh run and
+    /// the memo.
+    fn extract_memoized<T: Memoized>(
+        &self,
+        memos: impl FnOnce(&mut MemoTable) -> &mut Vec<SpannerMemo<T::Rel>>,
+        key: u64,
+        run: impl FnOnce(Vec<(&[u8], &[Span])>) -> T,
+    ) -> T {
         let mut table = self.memo.lock();
-        let memo = memo_slot(&mut table.fleet, key, self.shards.len());
+        let memo = memo_slot(memos(&mut table), key, self.shards.len());
         let dirty = dirty_shards(&self.shards, memo);
-        let mut result = runner.run_presplit(dirty.iter().map(|&i| {
-            (
-                self.shards[i].bytes.as_slice(),
-                self.shards[i].segments.as_slice(),
-            )
-        }));
-        result.relations = assemble(
-            &self.shards,
-            memo,
-            &dirty,
-            std::mem::take(&mut result.relations),
-        );
-        result.stats.docs = self.shards.len();
-        result.stats.docs_reused = self.shards.len() - dirty.len();
+        let shards = dirty.iter().map(|&i| &self.shards[i]);
+        let mut result = run(shards.map(|s| (&s.bytes[..], &s.segments[..])).collect());
+        let (relations, docs, docs_reused) = result.parts();
+        *relations = assemble(&self.shards, memo, &dirty, std::mem::take(relations));
+        *docs = self.shards.len();
+        *docs_reused = self.shards.len() - dirty.len();
         result
+    }
+}
+
+/// A runner result [`CorpusHandle`] memoizes per shard.
+trait Memoized {
+    /// The per-shard unit: one relation, or one per fleet member.
+    type Rel: Clone;
+    /// The per-shard results and the `docs` / `docs_reused` counters.
+    fn parts(&mut self) -> (&mut Vec<Self::Rel>, &mut usize, &mut usize);
+}
+
+impl Memoized for CorpusResult {
+    type Rel = SpanRelation;
+    fn parts(&mut self) -> (&mut Vec<SpanRelation>, &mut usize, &mut usize) {
+        let s = &mut self.stats;
+        (&mut self.relations, &mut s.docs, &mut s.docs_reused)
+    }
+}
+
+impl Memoized for FleetResult {
+    type Rel = Vec<SpanRelation>;
+    fn parts(&mut self) -> (&mut Vec<Vec<SpanRelation>>, &mut usize, &mut usize) {
+        let s = &mut self.stats;
+        (&mut self.relations, &mut s.docs, &mut s.docs_reused)
     }
 }
 
@@ -567,7 +578,7 @@ mod tests {
     use crate::engine::ExecSpanner;
     use crate::segcache::SegmentCache;
     use splitc_spanner::rgx::Rgx;
-    use splitc_spanner::splitter;
+    use splitc_spanner::splitter::{self, Splitter};
     use std::sync::Arc;
 
     fn handle_of(shards: &[&[u8]]) -> CorpusHandle {
@@ -760,45 +771,58 @@ mod tests {
         .run_presplit(h.presplit_docs());
         assert_eq!(third.relations, full.relations);
     }
-}
-
-#[cfg(test)]
-mod review_probe {
-    use super::*;
-    use splitc_spanner::Splitter;
 
     #[test]
-    fn empty_segment_at_left_frontier() {
-        // A splitter that emits an empty span [i,i> before each 'a'.
-        let s = Splitter::parse(".*x{}a.*").unwrap();
-        let compiled = s.compile();
+    fn single_segment_edit_reuses_other_segments() {
+        let pat = Rgx::parse(".*x{a+}.*").unwrap().to_vsa().unwrap();
+        let spanner = ExecSpanner::compile(&pat);
+        let cache = Arc::new(SegmentCache::new(64));
+        let runner = crate::RunnerOptions::new()
+            .segment_cache(cache.clone())
+            .corpus_runner(spanner.clone(), splitter::sentences().compile());
+        let mut h = handle_of(&[b"aaa bb. cc aa. dd a"]);
+        let _ = h.extract(&runner);
+        assert_eq!((cache.stats().misses, cache.stats().hits), (3, 0));
+        // Edit the middle sentence only.
+        h.edit(0, 11..13, b"aaaa");
+        let rel = h.extract(&runner);
+        let s = cache.stats();
+        assert_eq!(s.misses, 4, "only the edited segment is recomputed");
+        assert_eq!(s.hits, 2, "the other two segments come from cache");
+        assert_eq!(rel.relations, [spanner.eval(b"aaa bb. cc aaaa. dd a")]);
+    }
+
+    /// Splitter emitting an empty span before every `a`.
+    fn empty_before_a() -> CompiledSplitter {
+        Splitter::parse(".*x{}a.*").unwrap().compile()
+    }
+
+    #[test]
+    fn empty_segment_at_left_frontier_is_not_duplicated() {
+        let compiled = empty_before_a();
         let mut h = CorpusHandle::from_shards(compiled.clone(), [b"bbabb".to_vec()]);
-        // Sanity: maintained segmentation matches batch split.
-        assert_eq!(h.segments(0), compiled.split(h.shard_bytes(0)).as_slice(), "initial");
-        // Insert at position 2 (just before the 'a'), displacing it.
+        assert_eq!(h.segments(0), compiled.split(h.shard_bytes(0)).as_slice());
+        // Insert just before the 'a', displacing its empty segment.
         h.edit(0, 2..2, b"c");
-        let full = compiled.split(h.shard_bytes(0));
         assert_eq!(
             h.segments(0),
-            full.as_slice(),
+            compiled.split(h.shard_bytes(0)).as_slice(),
             "after edit: bytes {:?}",
             String::from_utf8_lossy(h.shard_bytes(0))
         );
     }
 
     #[test]
-    fn empty_segment_at_recorded_sync() {
-        let s = Splitter::parse(".*x{}a.*").unwrap();
-        let compiled = s.compile();
-        // 'a' exactly at position 2048 (a chunk boundary, where a sync
-        // is recorded); everything else inert 'b'.
+    fn empty_segment_at_recorded_sync_is_not_duplicated() {
+        let compiled = empty_before_a();
+        // The only 'a' sits at 2048, a chunk boundary where a sync is
+        // recorded, so the empty segment lies on the left frontier of an
+        // edit further right.
         let mut doc = vec![b'b'; 3000];
         doc[2048] = b'a';
         let mut h = CorpusHandle::from_shards(compiled.clone(), [doc]);
-        assert_eq!(h.segments(0), compiled.split(h.shard_bytes(0)).as_slice(), "initial");
-        // Edit well past the empty segment; left frontier = 2048.
+        assert_eq!(h.segments(0), compiled.split(h.shard_bytes(0)).as_slice());
         h.edit(0, 2500..2501, b"X");
-        let full = compiled.split(h.shard_bytes(0));
-        assert_eq!(h.segments(0), full.as_slice(), "after edit");
+        assert_eq!(h.segments(0), compiled.split(h.shard_bytes(0)).as_slice());
     }
 }

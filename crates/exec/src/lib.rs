@@ -13,10 +13,6 @@
 //!   for pre-parallel collections of small documents, splitting yields
 //!   more, smaller tasks and measurably better pool utilization — the
 //!   paper's Spark observation (§1 "Further motivation").
-//! * **Incremental maintenance** ([`incremental`]): per-segment result
-//!   caching keyed by segment content, so re-evaluating an edited
-//!   document only recomputes the touched segments (the paper's
-//!   Wikipedia-edit scenario).
 //! * **Streaming sharded corpus execution** ([`stream`], [`corpus`]):
 //!   documents are split *while being read* (chunk by chunk, constant
 //!   memory via [`stream::StreamingSplitter`]) and the resulting
@@ -28,18 +24,26 @@
 //!   same corpus in *one* streamed pass — one splitter, one shared byte
 //!   partition, one merged multi-needle literal scan dispatching each
 //!   segment only to the members with evidence in it
-//!   ([`fleet::FleetRunner`]).
+//!   ([`fleet::FleetRunner`]). One pipeline, two evaluators: both
+//!   runners drive the same batch/queue/worker/merge code in
+//!   [`corpus`] and differ only in the per-segment step.
+//! * **Incremental maintenance** ([`handle`], [`segcache`]): a
+//!   [`handle::CorpusHandle`] keeps a sharded corpus with its
+//!   segmentation under edits, resplitting only the dirty window, and
+//!   re-extracts through either runner with per-shard memos plus a
+//!   content-addressed [`segcache::SegmentCache`], so re-evaluating an
+//!   edited corpus only recomputes the touched segments (the paper's
+//!   Wikipedia-edit scenario).
 //! * **Batch certification** ([`certify`]): the step *before* any of
 //!   the above — a fleet of `(P, P_S)` pairs sharing one splitter is
 //!   certified split-correct on a worker pool, with the composed
 //!   spanners memoized across pairs and the antichain containment
 //!   engine on the general route ([`certify::certify_many`]).
 //! * **Long-lived worker pools** ([`pool`]): [`pool::EvalPool`] is a
-//!   reusable self-draining thread pool the runners share via
-//!   [`corpus::CorpusRunner::with_pool`] /
-//!   [`fleet::FleetRunner::with_pool`] — a service handling many
+//!   reusable self-draining thread pool both runners share via
+//!   [`options::RunnerOptions::pool`] — a service handling many
 //!   requests pays thread spawn/teardown once per process instead of
-//!   once per call (the default constructors still spawn per-call
+//!   once per call (runners built without a pool still spawn per-call
 //!   workers, so one-shot uses are unchanged).
 //!
 //! The repository's top-level `ARCHITECTURE.md` shows where this crate
@@ -51,7 +55,6 @@ pub mod corpus;
 pub mod engine;
 pub mod fleet;
 pub mod handle;
-pub mod incremental;
 pub mod options;
 pub mod pool;
 pub mod segcache;
@@ -69,7 +72,6 @@ pub use engine::{
 };
 pub use fleet::{Fleet, FleetResult, FleetRunner, FleetStats};
 pub use handle::{CorpusHandle, DeltaStats};
-pub use incremental::IncrementalRunner;
 pub use options::{CompileOptions, RunnerOptions};
 pub use pool::{EvalPool, EvalPoolStats};
 pub use segcache::{SegCacheStats, SegmentCache};

@@ -4,10 +4,11 @@
 //! `ExecSpanner::{compile, compile_with, compile_with_config}`,
 //! `Fleet::{compile, compile_with, compile_evsas}`,
 //! `Splitter::{compile, compile_with, compile_tiered}`, and
-//! `{Corpus,Fleet}Runner::{new, with_pool}` — which composed badly (a
-//! caller wanting "AOT splitter + starved dense cache + shared pool +
-//! segment cache" had to know four different signatures). This module
-//! collapses them behind two builders:
+//! `{Corpus,Fleet}Runner::new` plus per-runner pool and cache
+//! modifiers — which composed badly (a caller wanting "AOT splitter +
+//! starved dense cache + shared pool + segment cache" had to know four
+//! different signatures). This module collapses them behind two
+//! builders:
 //!
 //! * [`CompileOptions`] — *what to compile*: the engine request, the
 //!   dense-engine budget and skip-loop, and an optional shared byte
@@ -33,7 +34,7 @@
 //! assert_eq!(out.relations.len(), 1);
 //! ```
 
-use crate::corpus::{CorpusRunner, CorpusRunnerConfig};
+use crate::corpus::{CorpusRunner, CorpusRunnerConfig, Pipeline};
 use crate::engine::{Engine, ExecSpanner};
 use crate::fleet::{Fleet, FleetRunner};
 use crate::pool::EvalPool;
@@ -149,8 +150,9 @@ impl CompileOptions {
 
 /// Builder for runner construction: pipeline tuning plus the two shared
 /// resources (worker pool, segment cache) a service threads through
-/// every request. Subsumes `{Corpus,Fleet}Runner::{new, with_pool}` and
-/// the `with_segment_cache` modifiers.
+/// every request. Both runners are built here: `{Corpus,Fleet}Runner::new`
+/// delegate to it, and it is the only way to put a runner on a shared
+/// [`EvalPool`].
 #[derive(Debug, Clone, Default)]
 pub struct RunnerOptions {
     config: CorpusRunnerConfig,
@@ -217,28 +219,30 @@ impl RunnerOptions {
         self.config
     }
 
-    /// Constructs a [`CorpusRunner`] with these options. The options
-    /// value is reusable — shared resources are cloned in, not moved.
+    /// The shared pipeline both runner kinds own. Shared resources are
+    /// cloned in, not moved, so the options value is reusable.
+    fn pipeline(&self, splitter: CompiledSplitter) -> Pipeline {
+        Pipeline {
+            splitter,
+            config: self.config,
+            pool: self.pool.clone(),
+            segment_cache: self.segment_cache.clone(),
+        }
+    }
+
+    /// Constructs a [`CorpusRunner`] with these options.
     pub fn corpus_runner(&self, spanner: ExecSpanner, splitter: CompiledSplitter) -> CorpusRunner {
-        let runner = match &self.pool {
-            Some(pool) => CorpusRunner::with_pool(spanner, splitter, self.config, pool.clone()),
-            None => CorpusRunner::new(spanner, splitter, self.config),
-        };
-        match &self.segment_cache {
-            Some(cache) => runner.with_segment_cache(cache.clone()),
-            None => runner,
+        CorpusRunner {
+            spanner: Arc::new(spanner),
+            pipeline: self.pipeline(splitter),
         }
     }
 
     /// Constructs a [`FleetRunner`] with these options.
     pub fn fleet_runner(&self, fleet: Arc<Fleet>, splitter: CompiledSplitter) -> FleetRunner {
-        let runner = match &self.pool {
-            Some(pool) => FleetRunner::with_pool(fleet, splitter, self.config, pool.clone()),
-            None => FleetRunner::new(fleet, splitter, self.config),
-        };
-        match &self.segment_cache {
-            Some(cache) => runner.with_segment_cache(cache.clone()),
-            None => runner,
+        FleetRunner {
+            fleet,
+            pipeline: self.pipeline(splitter),
         }
     }
 }

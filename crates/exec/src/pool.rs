@@ -5,10 +5,9 @@
 //! is fine for batch jobs but wrong for a *service*: a server handling
 //! thousands of `/extract` requests would pay thread spawn/join on each
 //! one. [`EvalPool`] is the reusable handle — `workers` threads started
-//! once, fed jobs over a channel, joined on drop — that
-//! [`crate::CorpusRunner::with_pool`] and
-//! [`crate::FleetRunner::with_pool`] plug their per-request worker loops
-//! into.
+//! once, fed jobs over a channel, joined on drop — into which runners
+//! built with [`crate::RunnerOptions::pool`] plug their per-request
+//! worker loops.
 //!
 //! Jobs are plain `FnOnce` boxes. Runner worker loops are self-draining
 //! (they exit when the run's segment queue disconnects), so a pool

@@ -18,7 +18,8 @@ use splitc_spanner::rgx::Rgx;
 use splitc_spanner::splitter::{self, Splitter};
 
 /// Splitters covering the interesting shapes: disjoint delimiters,
-/// overlapping windows, nested candidate spans, empty spans, and a
+/// overlapping windows, nested candidate spans, empty spans (inside a
+/// window and at a delimiter, where edits meet sync points), and a
 /// non-universal post-split language (confirmation only at end of
 /// stream).
 fn splitter_pool() -> Vec<Splitter> {
@@ -32,6 +33,7 @@ fn splitter_pool() -> Vec<Splitter> {
         Splitter::parse("x{ab}b|a(x{bb})").unwrap(), // paper Ex. 5.8
         Splitter::parse("x{aa}|a(x{})a").unwrap(),   // empty spans
         Splitter::parse("x{a*}b*").unwrap(),         // non-universal suffix
+        Splitter::parse(".*x{}a.*").unwrap(),        // empty span before every `a`
     ]
 }
 
@@ -82,7 +84,7 @@ proptest! {
 
     #[test]
     fn streaming_splitter_matches_batch_over_random_chunks(
-        si in 0..9usize,
+        si in 0..10usize,
         doc in doc_strategy(),
         sizes in chunking_strategy(),
     ) {
@@ -398,7 +400,7 @@ proptest! {
     /// uncached run.
     #[test]
     fn corpus_handle_edit_scripts_match_full_reextraction(
-        si in 0..9usize,
+        si in 0..10usize,
         pi in 0..PATTERNS.len(),
         engine_pick in 0usize..4,
         chunk_bytes in 1usize..8,

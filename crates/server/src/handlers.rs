@@ -44,7 +44,7 @@ use splitc_core::cache::CachedVerdict;
 use splitc_core::Verdict;
 use splitc_exec::{
     CorpusHandle, CorpusRunner, CorpusRunnerConfig, DeltaStats, Engine, EvalPool, FleetRunner,
-    SegmentCache,
+    RunnerOptions, SegmentCache,
 };
 use splitc_spanner::{SpanRelation, VarTable};
 
@@ -87,13 +87,19 @@ impl ServiceState {
         }
     }
 
-    /// The runner configuration every `/extract` uses: the shared
-    /// pool's width, the configured batch size, and default queueing.
-    fn runner_config(&self) -> CorpusRunnerConfig {
-        CorpusRunnerConfig {
-            workers: self.config.workers,
-            batch_bytes: self.config.batch_bytes,
-            ..CorpusRunnerConfig::default()
+    /// The runner options every `/extract` uses: the shared pool and
+    /// its width, the configured batch size, default queueing, and —
+    /// for requests against a maintained corpus — the process-wide
+    /// segment cache.
+    fn runner_options(&self, cached: bool) -> RunnerOptions {
+        let opts = RunnerOptions::new()
+            .workers(self.config.workers)
+            .batch_bytes(self.config.batch_bytes)
+            .pool(self.pool.clone());
+        if cached {
+            opts.segment_cache(self.segment_cache.clone())
+        } else {
+            opts
         }
     }
 }
@@ -548,15 +554,9 @@ fn extract(state: &ServiceState, body: &Json) -> Response {
                     return not_split_correct(&verdict);
                 }
             }
-            let mut runner = CorpusRunner::with_pool(
-                spanner.exec.clone(),
-                splitter.compiled.clone(),
-                state.runner_config(),
-                state.pool.clone(),
-            );
-            if corpus.is_some() {
-                runner = runner.with_segment_cache(state.segment_cache.clone());
-            }
+            let runner = state
+                .runner_options(corpus.is_some())
+                .corpus_runner(spanner.exec.clone(), splitter.compiled.clone());
             let result = match &corpus {
                 // The entry mutex serializes extraction and mutation of
                 // one corpus; the presplit segmentation is reused as-is.
@@ -622,15 +622,9 @@ fn extract(state: &ServiceState, body: &Json) -> Response {
                     return not_split_correct(bad);
                 }
             }
-            let mut runner = FleetRunner::with_pool(
-                fleet.fleet.clone(),
-                splitter.compiled.clone(),
-                state.runner_config(),
-                state.pool.clone(),
-            );
-            if corpus.is_some() {
-                runner = runner.with_segment_cache(state.segment_cache.clone());
-            }
+            let runner = state
+                .runner_options(corpus.is_some())
+                .fleet_runner(fleet.fleet.clone(), splitter.compiled.clone());
             let result = match &corpus {
                 Some(entry) => entry.handle.lock().extract_fleet(&runner),
                 None => runner.run_slices(&doc_bytes),

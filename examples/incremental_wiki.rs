@@ -2,18 +2,19 @@
 //! motivation (§1): after certifying `P = P ∘ S`, a small edit to the
 //! corpus only requires re-processing the touched segments.
 //!
-//! Two layers demonstrate the same payoff:
+//! Two layers demonstrate the same payoff, both on [`CorpusHandle`] +
+//! [`SegmentCache`]:
 //!
-//! 1. [`IncrementalRunner`] — single document, sequential: re-evaluate
-//!    after an in-place edit; only the edited segment misses its
-//!    (bounded, content-addressed) cache.
-//! 2. [`CorpusHandle`] + [`SegmentCache`] — a sharded, *maintained*
-//!    corpus: point edits, appends, and shard replacement resplit only
-//!    the dirty window (`DeltaStats` reports the resplit frontier),
-//!    and re-extraction is two-tier incremental: untouched shards
-//!    reuse their memoized relation without running at all
-//!    (`stats.docs_reused`), while inside the dirty shards the shared
-//!    segment cache re-evaluates only segments whose bytes changed.
+//! 1. A single document: re-extract after an in-place edit; only the
+//!    edited segment misses the (bounded, content-addressed) segment
+//!    cache.
+//! 2. A sharded, *maintained* corpus: point edits, appends, and shard
+//!    replacement resplit only the dirty window (`DeltaStats` reports
+//!    the resplit frontier), and re-extraction is two-tier
+//!    incremental: untouched shards reuse their memoized relation
+//!    without running at all (`stats.docs_reused`), while inside the
+//!    dirty shards the shared segment cache re-evaluates only segments
+//!    whose bytes changed.
 //!
 //! ```sh
 //! cargo run --release --example incremental_wiki
@@ -38,21 +39,24 @@ fn main() {
     };
     let mut doc = textgen::wiki_corpus(&cfg);
 
-    // --- Layer 1: IncrementalRunner on one document --------------------
+    // --- Layer 1: one maintained document ------------------------------
     let compile = CompileOptions::new();
-    let runner = IncrementalRunner::new(
-        compile.compile_spanner(&p),
-        Arc::new(native_splitters::sentences) as SplitFn,
-    );
+    let compiled = compile.compile_splitter(&s);
+    let spanner = compile.compile_spanner(&p);
+    let doc_cache = Arc::new(SegmentCache::new(1 << 16));
+    let runner = RunnerOptions::new()
+        .segment_cache(doc_cache.clone())
+        .corpus_runner(spanner.clone(), compiled.clone());
+    let mut one = CorpusHandle::from_shards(compiled.clone(), [doc.clone()]);
 
     // Cold run: every segment is a miss.
     let t0 = Instant::now();
-    let before = runner.eval(&doc);
+    let before = one.extract(&runner);
     let cold = t0.elapsed();
-    let s0 = runner.stats();
+    let s0 = doc_cache.stats();
     println!(
         "cold run: {} entities, {} segments evaluated in {:?}",
-        before.len(),
+        before.relations[0].len(),
         s0.misses,
         cold
     );
@@ -63,15 +67,16 @@ fn main() {
     for (i, b) in b"Newname".iter().enumerate() {
         doc[mid + i] = *b;
     }
+    one.edit(0, mid..mid + 7, b"Newname");
 
     let t0 = Instant::now();
-    let after = runner.eval(&doc);
+    let after = one.extract(&runner);
     let warm = t0.elapsed();
-    let s1 = runner.stats();
+    let s1 = doc_cache.stats();
     println!(
         "after edit: {} entities; recomputed {} segment(s), {} from cache, in {:?} \
          ({:.1}x faster than cold)",
-        after.len(),
+        after.relations[0].len(),
         s1.misses - s0.misses,
         s1.hits - s0.hits,
         warm,
@@ -83,12 +88,11 @@ fn main() {
     );
 
     // The incremental result equals from-scratch evaluation.
-    let direct = evaluate_sequential(&compile.compile_spanner(&p), &doc);
-    assert_eq!(after, direct);
+    let direct = evaluate_sequential(&spanner, &doc);
+    assert_eq!(after.relations, [direct]);
     println!("incremental result equals from-scratch evaluation ✓");
 
     // --- Layer 2: a maintained sharded corpus --------------------------
-    let compiled = compile.compile_splitter(&s);
     let shards: Vec<Vec<u8>> = (0..8)
         .map(|i| {
             textgen::wiki_corpus(&CorpusConfig {

@@ -115,20 +115,25 @@ fn splittability_witness_runs_on_the_engine() {
 #[test]
 fn incremental_is_exact_over_edit_series() {
     let p = spanners::entity_extractor();
-    assert!(self_splittable(&p, &splitters::sentences())
-        .unwrap()
-        .holds());
+    let s = splitters::sentences();
+    assert!(self_splittable(&p, &s).unwrap().holds());
     let spanner = ExecSpanner::compile(&p);
-    let runner = IncrementalRunner::new(
-        spanner.clone(),
-        Arc::new(native_splitters::sentences) as SplitFn,
-    );
+    let cache = Arc::new(SegmentCache::new(1 << 16));
+    let runner = RunnerOptions::new()
+        .segment_cache(cache.clone())
+        .corpus_runner(spanner.clone(), s.compile());
     let mut doc = corpus(16 << 10, 31);
+    let mut handle = CorpusHandle::from_shards(s.compile(), [doc.clone()]);
     for i in 0..10 {
         let pos = (i * 997) % doc.len();
         doc[pos] = b'Q';
-        assert_eq!(runner.eval(&doc), evaluate_sequential(&spanner, &doc));
+        handle.edit(0, pos..pos + 1, b"Q");
+        assert_eq!(handle.shard_bytes(0), &doc[..]);
+        assert_eq!(
+            handle.extract(&runner).relations,
+            [evaluate_sequential(&spanner, &doc)]
+        );
     }
-    let stats = runner.stats();
+    let stats = cache.stats();
     assert!(stats.hits > stats.misses, "edits must mostly hit the cache");
 }

@@ -92,30 +92,32 @@ fn incremental_wiki_main_path() {
         ..Default::default()
     };
     let mut doc = textgen::wiki_corpus(&cfg);
-    let runner = IncrementalRunner::new(
-        ExecSpanner::compile(&p),
-        Arc::new(native_splitters::sentences) as SplitFn,
-    );
+    let spanner = ExecSpanner::compile(&p);
+    let cache = Arc::new(SegmentCache::new(1 << 16));
+    let runner = RunnerOptions::new()
+        .segment_cache(cache.clone())
+        .corpus_runner(spanner.clone(), s.compile());
+    let mut handle = CorpusHandle::from_shards(s.compile(), [doc.clone()]);
 
-    let before = runner.eval(&doc);
-    let s0 = runner.stats();
+    let _before = handle.extract(&runner);
+    let s0 = cache.stats();
     assert!(s0.misses > 0, "cold run evaluates segments");
 
     let mid = doc.len() / 2;
     for (i, b) in b"Newname".iter().enumerate() {
         doc[mid + i] = *b;
     }
-    let after = runner.eval(&doc);
-    let s1 = runner.stats();
+    handle.edit(0, mid..mid + 7, b"Newname");
+    let after = handle.extract(&runner);
+    let s1 = cache.stats();
     assert!(
         s1.misses - s0.misses <= 2,
         "an in-sentence edit touches at most the edited segment(s)"
     );
     assert!(s1.hits > 0, "untouched segments come from cache");
-    let _ = before;
 
-    let direct = evaluate_sequential(&ExecSpanner::compile(&p), &doc);
-    assert_eq!(after, direct, "incremental equals from-scratch");
+    let direct = evaluate_sequential(&spanner, &doc);
+    assert_eq!(after.relations, [direct], "incremental equals from-scratch");
 }
 
 /// `examples/http_log_debugging.rs`: the buggy host/date extractor is
