@@ -97,10 +97,10 @@ impl AnnotatedSplitter {
         if !self.union_splitter().is_disjoint() {
             return false;
         }
-        let compiled: Vec<_> = self.keyed.values().map(|s| s.compile()).collect();
-        for i in 0..compiled.len() {
-            for j in i + 1..compiled.len() {
-                let report = two_run_report(compiled[i].evsa(), compiled[j].evsa());
+        let evsas: Vec<_> = self.keyed.values().map(|s| s.evsa()).collect();
+        for i in 0..evsas.len() {
+            for j in i + 1..evsas.len() {
+                let report = two_run_report(&evsas[i], &evsas[j]);
                 if report.equal_spans {
                     return false;
                 }

@@ -637,7 +637,7 @@ fn corpus_result(run: PipelineRun<(DenseCacheStats, PrefilterStats)>) -> CorpusR
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{evaluate_many_split, split_fn_of_splitter, Engine, SplitFn};
+    use crate::engine::{evaluate_many_split, Engine, SplitFn};
     use crate::RunnerOptions;
     use splitc_spanner::rgx::Rgx;
     use splitc_spanner::splitter;
@@ -653,6 +653,13 @@ mod tests {
             splitter::sentences().compile(),
             config,
         )
+    }
+
+    /// Sentence splitting by the reference evaluator, independent of the
+    /// streaming tables the runners split on.
+    fn reference_split() -> SplitFn {
+        let s = splitter::sentences();
+        Arc::new(move |doc: &[u8]| s.split(doc))
     }
 
     fn docs() -> Vec<Vec<u8>> {
@@ -679,7 +686,7 @@ mod tests {
             },
         );
         let got = r.run_slices(&refs);
-        let split: SplitFn = split_fn_of_splitter(&splitter::sentences());
+        let split = reference_split();
         let spanner = ExecSpanner::compile(&vsa(".*x{a+}.*"));
         let expected = evaluate_many_split(&spanner, &split, &refs, 3);
         assert_eq!(got.relations, expected);
@@ -700,7 +707,7 @@ mod tests {
             },
         );
         let got = r.run_slices(&refs);
-        let split: SplitFn = split_fn_of_splitter(&splitter::sentences());
+        let split = reference_split();
         let spanner = ExecSpanner::compile(&vsa(".*x{a+}.*"));
         assert_eq!(
             got.relations,

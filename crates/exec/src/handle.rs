@@ -591,11 +591,11 @@ mod tests {
     /// The maintained segmentation must equal a from-scratch split of
     /// the current bytes — the handle's core invariant.
     fn assert_consistent(h: &CorpusHandle) {
-        let compiled = splitter::sentences().compile();
+        let reference = splitter::sentences();
         for i in 0..h.num_shards() {
             assert_eq!(
                 h.segments(i),
-                compiled.split(h.shard_bytes(i)).as_slice(),
+                reference.split(h.shard_bytes(i)).as_slice(),
                 "shard {i}: {:?}",
                 String::from_utf8_lossy(h.shard_bytes(i))
             );
@@ -793,20 +793,20 @@ mod tests {
     }
 
     /// Splitter emitting an empty span before every `a`.
-    fn empty_before_a() -> CompiledSplitter {
-        Splitter::parse(".*x{}a.*").unwrap().compile()
+    fn empty_before_a() -> Splitter {
+        Splitter::parse(".*x{}a.*").unwrap()
     }
 
     #[test]
     fn empty_segment_at_left_frontier_is_not_duplicated() {
-        let compiled = empty_before_a();
-        let mut h = CorpusHandle::from_shards(compiled.clone(), [b"bbabb".to_vec()]);
-        assert_eq!(h.segments(0), compiled.split(h.shard_bytes(0)).as_slice());
+        let s = empty_before_a();
+        let mut h = CorpusHandle::from_shards(s.compile(), [b"bbabb".to_vec()]);
+        assert_eq!(h.segments(0), s.split(h.shard_bytes(0)).as_slice());
         // Insert just before the 'a', displacing its empty segment.
         h.edit(0, 2..2, b"c");
         assert_eq!(
             h.segments(0),
-            compiled.split(h.shard_bytes(0)).as_slice(),
+            s.split(h.shard_bytes(0)).as_slice(),
             "after edit: bytes {:?}",
             String::from_utf8_lossy(h.shard_bytes(0))
         );
@@ -814,15 +814,15 @@ mod tests {
 
     #[test]
     fn empty_segment_at_recorded_sync_is_not_duplicated() {
-        let compiled = empty_before_a();
+        let s = empty_before_a();
         // The only 'a' sits at 2048, a chunk boundary where a sync is
         // recorded, so the empty segment lies on the left frontier of an
         // edit further right.
         let mut doc = vec![b'b'; 3000];
         doc[2048] = b'a';
-        let mut h = CorpusHandle::from_shards(compiled.clone(), [doc]);
-        assert_eq!(h.segments(0), compiled.split(h.shard_bytes(0)).as_slice());
+        let mut h = CorpusHandle::from_shards(s.compile(), [doc]);
+        assert_eq!(h.segments(0), s.split(h.shard_bytes(0)).as_slice());
         h.edit(0, 2500..2501, b"X");
-        assert_eq!(h.segments(0), compiled.split(h.shard_bytes(0)).as_slice());
+        assert_eq!(h.segments(0), s.split(h.shard_bytes(0)).as_slice());
     }
 }

@@ -2,18 +2,18 @@
 //!
 //! The execution layer grew one entry point per knob combination —
 //! `ExecSpanner::{compile, compile_with, compile_with_config}`,
-//! `Fleet::{compile, compile_with, compile_evsas}`,
-//! `Splitter::{compile, compile_with, compile_tiered}`, and
+//! `Fleet::{compile, compile_with, compile_evsas}`, and
 //! `{Corpus,Fleet}Runner::new` plus per-runner pool and cache
-//! modifiers — which composed badly (a caller wanting "AOT splitter +
+//! modifiers — which composed badly (a caller wanting "AOT spanner +
 //! starved dense cache + shared pool + segment cache" had to know four
 //! different signatures). This module collapses them behind two
 //! builders:
 //!
 //! * [`CompileOptions`] — *what to compile*: the engine request, the
 //!   dense-engine budget and skip-loop, and an optional shared byte
-//!   partition. One options value compiles spanners, fleets, and
-//!   splitters consistently.
+//!   partition. One options value compiles spanners and fleets
+//!   consistently; splitters have a single engine (the streaming phase
+//!   DFAs of [`Splitter::compile`]), which the options do not change.
 //! * [`RunnerOptions`] — *how to run*: worker/batch/queue/chunk tuning,
 //!   an optional shared [`EvalPool`], and an optional shared
 //!   [`SegmentCache`]. One options value constructs both runner kinds.
@@ -40,7 +40,6 @@ use crate::fleet::{Fleet, FleetRunner};
 use crate::pool::EvalPool;
 use crate::segcache::SegmentCache;
 use splitc_automata::classes::ByteClasses;
-use splitc_spanner::aot::AotConfig;
 use splitc_spanner::dense::DenseConfig;
 use splitc_spanner::evsa::EVsa;
 use splitc_spanner::splitter::{CompiledSplitter, Splitter};
@@ -134,17 +133,11 @@ impl CompileOptions {
         Fleet::compile_with(vsas, self.engine, self.dense)
     }
 
-    /// Compiles a splitter on the tier matching the engine request: an
-    /// [`Engine::Aot`] request compiles the tiered (AOT-with-fallback)
-    /// splitter, everything else the dense one with this configuration.
+    /// Compiles a splitter. Splitters run on one engine whatever the
+    /// request — the streaming phase DFAs of [`Splitter::compile`] — so
+    /// no option of this builder changes the result.
     pub fn compile_splitter(&self, splitter: &Splitter) -> CompiledSplitter {
-        match self.engine {
-            Engine::Aot => splitter.compile_tiered(AotConfig {
-                dense: self.dense,
-                ..AotConfig::default()
-            }),
-            _ => splitter.compile_with(self.dense),
-        }
+        splitter.compile()
     }
 }
 

@@ -4,14 +4,14 @@
 //!
 //! 1. [`StreamingSplitter`] over **arbitrary chunk boundaries**
 //!    (including 1-byte chunks and cuts inside multi-byte segments)
-//!    yields exactly the segments of the batch splitter, in the same
-//!    order;
-//! 2. [`CorpusRunner`] equals [`evaluate_many_split`] on the same
-//!    corpus, for every engine, worker count (including the normalized
-//!    `0`), batch size and queue depth.
+//!    yields exactly the segments of the reference `Splitter::split`
+//!    (the general evaluator), in the same order;
+//! 2. [`CorpusRunner`] equals [`evaluate_many_split`] with the reference
+//!    splitter on the same corpus, for every engine, worker count
+//!    (including the normalized `0`), batch size and queue depth.
 
 use crate::corpus::{CorpusRunner, CorpusRunnerConfig};
-use crate::engine::{evaluate_many_split, split_fn_of_splitter, Engine, ExecSpanner, SplitFn};
+use crate::engine::{evaluate_many_split, Engine, ExecSpanner, SplitFn};
 use crate::stream::StreamingSplitter;
 use proptest::prelude::*;
 use splitc_spanner::rgx::Rgx;
@@ -91,7 +91,6 @@ proptest! {
         let pool = splitter_pool();
         let s = &pool[si];
         let batch: Vec<(usize, usize, Vec<u8>)> = s
-            .compile()
             .split(&doc)
             .into_iter()
             .map(|sp| (sp.start, sp.end, sp.slice(&doc).to_vec()))
@@ -128,7 +127,8 @@ proptest! {
         );
         let refs: Vec<&[u8]> = docs.iter().map(Vec::as_slice).collect();
         let got = runner.run_slices(&refs);
-        let split: SplitFn = split_fn_of_splitter(&s);
+        // The reference evaluator, independent of the streaming tables.
+        let split: SplitFn = Arc::new(move |doc: &[u8]| s.split(doc));
         let expected = evaluate_many_split(&spanner, &split, &refs, workers);
         prop_assert_eq!(got.relations, expected);
         prop_assert_eq!(got.stats.docs, refs.len());
@@ -428,7 +428,7 @@ proptest! {
         for (step, op) in script.iter().enumerate() {
             apply_edit(op, &mut handle, &mut shadow);
             for (i, bytes) in shadow.iter().enumerate() {
-                let full: Vec<Span> = compiled.split(bytes);
+                let full: Vec<Span> = pool[si].split(bytes);
                 prop_assert_eq!(
                     handle.segments(i),
                     &full[..],

@@ -31,7 +31,7 @@ pub struct Segment {
 ///
 /// Feed chunks with [`StreamingSplitter::push`]; each call returns the
 /// segments completed by that chunk, in ascending `(start, end)` order —
-/// exactly the segments `CompiledSplitter::split` would produce on the
+/// exactly the segments the reference `Splitter::split` produces on the
 /// materialized document (a property the differential proptest suite
 /// asserts over random chunk boundaries). Close the stream with
 /// [`StreamingSplitter::finish`].
@@ -187,7 +187,7 @@ mod tests {
                 got.extend(st.push(piece));
             }
             got.extend(st.finish());
-            let expected: Vec<Segment> = compiled
+            let expected: Vec<Segment> = s
                 .split(doc)
                 .into_iter()
                 .map(|span| Segment {
@@ -229,8 +229,8 @@ mod tests {
 
     #[test]
     fn follow_mode_peeks_without_disturbing_the_stream() {
-        let s = splitter::sentences().compile();
-        let mut st = StreamingSplitter::new(&s);
+        let s = splitter::sentences();
+        let mut st = StreamingSplitter::new(&s.compile());
         let mut emitted = Vec::new();
         // Tail a "log" arriving in pieces; after each push, peek at the
         // provisional tail and check it completes the stream so far.

@@ -506,11 +506,6 @@ impl AotEvsa {
         self.dense.evsa_arc()
     }
 
-    /// The embedded dense compilation (edge tables, byte classes).
-    pub fn dense(&self) -> &Arc<DenseEvsa> {
-        &self.dense
-    }
-
     /// The prefilter analysis backing the gate.
     pub fn analysis(&self) -> &PrefilterAnalysis {
         &self.analysis

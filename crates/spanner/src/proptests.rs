@@ -12,9 +12,12 @@
 use crate::eval::{eval, reference_eval};
 use crate::rgx::Rgx;
 use crate::splitter::{compose, Splitter};
+use crate::stream::{SplitterState, StreamTables};
 use crate::tuple::SpanRelation;
 use crate::vsa::Vsa;
 use proptest::prelude::*;
+use std::sync::Arc;
+
 const PATTERNS: &[&str] = &[
     "x{a+}",
     ".*x{a}.*",
@@ -34,6 +37,8 @@ const SPLITTER_PATTERNS: &[&str] = &[
     ".*x{..}.*",                // 2-byte windows (non-disjoint)
     "x{a*}.*",                  // prefix of a's (incl. empty)
     "x{ab}b|a(x{bb})",          // paper example 5.8
+    ".*x{}a.*",                 // empty span before every 'a'
+    ".*\\.x{}.*",               // empty span after every period
 ];
 
 fn doc_strategy() -> impl Strategy<Value = Vec<u8>> {
@@ -87,6 +92,28 @@ proptest! {
             }
         }
         prop_assert_eq!(direct, SpanRelation::from_tuples(expected));
+    }
+
+    /// Both streaming modes against the reference evaluator: the
+    /// compiled splitter (phase DFAs, whole document) and a budget-0
+    /// stream (exact set-based fallback) fed in random-size chunks.
+    #[test]
+    fn compiled_and_set_mode_splits_match_reference(
+        si in 0..SPLITTER_PATTERNS.len(),
+        doc in doc_strategy(),
+        chunk in 1usize..4,
+    ) {
+        let s = Splitter::parse(SPLITTER_PATTERNS[si]).unwrap();
+        let reference = s.split(&doc);
+        prop_assert_eq!(&s.compile().split(&doc), &reference);
+        let tables = Arc::new(StreamTables::compile_with_budget(&s.evsa(), 0));
+        let mut state = SplitterState::new(tables);
+        let mut streamed = Vec::new();
+        for piece in doc.chunks(chunk) {
+            streamed.extend(state.push(piece));
+        }
+        streamed.extend(state.finish());
+        prop_assert_eq!(streamed, reference);
     }
 
     #[test]

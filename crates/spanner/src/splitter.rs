@@ -17,10 +17,8 @@
 //!   test suite.
 
 use crate::byteset::ByteSet;
-use crate::dense::{DenseConfig, DenseEvsa};
 use crate::eval::eval;
 use crate::evsa::EVsa;
-use crate::prefilter::{PrefilterAnalysis, PrefilterGate};
 use crate::rgx::{Ast, Rgx};
 use crate::span::Span;
 use crate::stream::{SplitterState, StreamTables};
@@ -28,7 +26,7 @@ use crate::vars::{VarId, VarOp};
 use crate::vsa::{Label, Vsa};
 use splitc_automata::nfa::StateId;
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// A document splitter: a unary spanner.
 #[derive(Debug, Clone)]
@@ -76,58 +74,24 @@ impl Splitter {
             .collect()
     }
 
-    /// Compiled splitting for repeated use: block normal form plus the
-    /// dense byte-class / lazy-DFA fast path (see [`crate::dense`]).
+    /// The splitter in block normal form ([`crate::evsa`]): trimmed, and
+    /// functionalized first when needed. The input of every compiled form
+    /// and of the two-run analyses ([`two_run_report`]).
+    pub fn evsa(&self) -> EVsa {
+        let f = if self.vsa.is_functional() {
+            self.vsa.trim()
+        } else {
+            self.vsa.functionalize()
+        };
+        EVsa::from_functional(&f)
+    }
+
+    /// Compiled splitting for repeated use: the streaming phase DFAs
+    /// ([`StreamTables`]) of the block normal form, shared by every
+    /// [`CompiledSplitter::stream`] and [`CompiledSplitter::split`].
     pub fn compile(&self) -> CompiledSplitter {
-        self.compile_with(DenseConfig::default())
-    }
-
-    /// [`Splitter::compile`] with explicit dense-engine configuration.
-    pub fn compile_with(&self, config: DenseConfig) -> CompiledSplitter {
-        let f = if self.vsa.is_functional() {
-            self.vsa.trim()
-        } else {
-            self.vsa.functionalize()
-        };
-        let evsa = Arc::new(EVsa::from_functional(&f));
-        let gate = Arc::new(PrefilterAnalysis::analyze(&evsa).gate());
         CompiledSplitter {
-            dense: Arc::new(DenseEvsa::compile(evsa, config)),
-            aot: None,
-            gate,
-            stream: OnceLock::new(),
-        }
-    }
-
-    /// [`Splitter::compile`] with automatic engine tiering: the splitter
-    /// runs on the ahead-of-time premultiplied tables
-    /// ([`crate::aot`]) when determinization fits the budget in
-    /// `config`, and degrades to the lazy dense engine otherwise
-    /// (splits are byte-identical either way; see
-    /// [`CompiledSplitter::is_aot`]).
-    pub fn compile_tiered(&self, config: crate::aot::AotConfig) -> CompiledSplitter {
-        let f = if self.vsa.is_functional() {
-            self.vsa.trim()
-        } else {
-            self.vsa.functionalize()
-        };
-        let evsa = Arc::new(EVsa::from_functional(&f));
-        let gate = Arc::new(PrefilterAnalysis::analyze(&evsa).gate());
-        match crate::aot::AotEvsa::compile(evsa.clone(), config) {
-            Some(aot) => CompiledSplitter {
-                // The AOT compilation embeds a dense compilation; share
-                // it rather than compiling the tables twice.
-                dense: aot.dense().clone(),
-                aot: Some(Arc::new(aot)),
-                gate,
-                stream: OnceLock::new(),
-            },
-            None => CompiledSplitter {
-                dense: Arc::new(DenseEvsa::compile(evsa, config.dense)),
-                aot: None,
-                gate,
-                stream: OnceLock::new(),
-            },
+            tables: Arc::new(StreamTables::compile(&self.evsa())),
         }
     }
 
@@ -140,9 +104,8 @@ impl Splitter {
     /// whether an overlap has been witnessed. The splitter is disjoint
     /// iff no accepting product configuration has both flags set.
     pub fn is_disjoint(&self) -> bool {
-        let compiled = self.compile();
-        let report = two_run_report(compiled.evsa(), compiled.evsa());
-        !report.distinct_overlapping
+        let evsa = self.evsa();
+        !two_run_report(&evsa, &evsa).distinct_overlapping
     }
 
     /// Determinizes the underlying automaton (Prop. 4.4), yielding a
@@ -295,74 +258,33 @@ pub fn two_run_report(e1: &EVsa, e2: &EVsa) -> TwoRunReport {
     report
 }
 
-/// A splitter compiled to block normal form, with the dense engine's
-/// byte-class tables and lazy-DFA cache as the splitting fast path, plus
-/// [`StreamTables`] for incremental (chunk-by-chunk) splitting, built
-/// lazily on the first [`CompiledSplitter::stream`] call so batch-only
-/// callers never pay the phase-DFA determinization.
+/// A compiled splitter: the [`StreamTables`] of its block normal form.
+/// Every split, whole-document or chunk by chunk, runs on these tables;
+/// clones share them.
 #[derive(Debug, Clone)]
 pub struct CompiledSplitter {
-    dense: Arc<DenseEvsa>,
-    /// Ahead-of-time tier (premultiplied tables), present when compiled
-    /// via [`Splitter::compile_tiered`] and determinization fit the
-    /// budget; `split` prefers it over the lazy dense path.
-    aot: Option<Arc<crate::aot::AotEvsa>>,
-    /// Document gate from the splitter's prefilter analysis: documents
-    /// shorter than the minimum split length (or missing a required
-    /// byte) split to nothing without touching the engine.
-    gate: Arc<PrefilterGate>,
-    stream: OnceLock<Arc<StreamTables>>,
+    tables: Arc<StreamTables>,
 }
 
 impl CompiledSplitter {
-    /// The underlying block-normal-form automaton.
-    pub fn evsa(&self) -> &EVsa {
-        self.dense.evsa()
-    }
-
-    /// The dense-engine compilation of the splitter.
-    pub fn dense(&self) -> &DenseEvsa {
-        &self.dense
-    }
-
-    /// The splitter's document gate (see [`crate::prefilter`]).
-    pub fn gate(&self) -> &PrefilterGate {
-        &self.gate
-    }
-
-    /// Whether the ahead-of-time tier is active (see
-    /// [`Splitter::compile_tiered`]).
-    pub fn is_aot(&self) -> bool {
-        self.aot.is_some()
-    }
-
-    /// Splits a document (prefilter gate, then the AOT premultiplied
-    /// tables when tiered in, else the dense fast path; exact NFA
-    /// fallback when the lazy-DFA cache bound is hit).
+    /// Splits a whole document: one [`CompiledSplitter::stream`] fed the
+    /// document in a single chunk. The spans equal [`Splitter::split`]'s.
     pub fn split(&self, doc: &[u8]) -> Vec<Span> {
-        if self.gate.rejects(doc) {
-            return Vec::new();
-        }
-        let rel = match &self.aot {
-            Some(aot) => aot.eval(doc),
-            None => self.dense.eval(doc),
-        };
-        rel.iter().map(|t| t.get(VarId(0))).collect()
+        let mut state = self.stream();
+        let mut spans = state.push(doc);
+        spans.extend(state.finish());
+        spans
     }
 
     /// Starts an incremental split of one document stream: feed bytes
     /// chunk by chunk with [`SplitterState::push`] and close the stream
     /// with [`SplitterState::finish`]. Emitted spans are exactly those
-    /// of [`CompiledSplitter::split`], in the same ascending order,
-    /// without the document ever being materialized (see
-    /// [`crate::stream`] for the buffering contract). The tables are
-    /// compiled on first use and shared afterwards; each call returns
-    /// independent per-stream state.
+    /// of [`Splitter::split`], in the same ascending order, without the
+    /// document ever being materialized (see [`crate::stream`] for the
+    /// buffering contract). Each call returns independent per-stream
+    /// state over the shared tables.
     pub fn stream(&self) -> SplitterState {
-        let tables = self
-            .stream
-            .get_or_init(|| Arc::new(StreamTables::compile(self.dense.evsa())));
-        SplitterState::new(Arc::clone(tables))
+        SplitterState::new(Arc::clone(&self.tables))
     }
 }
 
@@ -775,32 +697,6 @@ mod tests {
     }
 
     #[test]
-    fn tiered_compile_splits_identically() {
-        use crate::aot::AotConfig;
-        for s in [sentences(), lines(), paragraphs()] {
-            let dense = s.compile();
-            let tiered = s.compile_tiered(AotConfig::default());
-            for doc in [
-                b"Hello world. How are you. Fine".as_slice(),
-                b"a b\nc\n\nd\n",
-                b"",
-                b"...",
-            ] {
-                assert_eq!(tiered.split(doc), dense.split(doc));
-            }
-        }
-        // A starved budget degrades to dense, with identical splits.
-        let s = sentences();
-        let starved = s.compile_tiered(AotConfig {
-            max_states: 1,
-            ..AotConfig::default()
-        });
-        assert!(!starved.is_aot());
-        let doc = b"Hello world. Fine";
-        assert_eq!(starved.split(doc), s.compile().split(doc));
-    }
-
-    #[test]
     fn ngrams_match_native_and_nondisjoint() {
         let doc = b"one two three four";
         for n in 1..=3 {
@@ -936,23 +832,5 @@ mod tests {
         let c = s.compile();
         let doc = b"one. two. three";
         assert_eq!(s.split(doc), c.split(doc));
-    }
-
-    #[test]
-    fn compiled_splitter_gate_short_circuits() {
-        // Sentences need at least one non-period byte; the empty
-        // document and all-period documents are gate-rejected, with
-        // results identical to the ungated path.
-        let c = sentences().compile();
-        assert!(c.gate().rejects(b""));
-        assert_eq!(c.split(b""), sentences().split(b""));
-        assert_eq!(c.split(b"..."), sentences().split(b"..."));
-        // char_windows(3) has min split length 3.
-        let w = char_windows(3).compile();
-        assert!(w.gate().rejects(b"ab"));
-        for doc in [b"ab".as_slice(), b"abc", b"abcd"] {
-            assert_eq!(w.split(doc), char_windows(3).split(doc));
-        }
-        assert!(w.split(b"ab").is_empty());
     }
 }

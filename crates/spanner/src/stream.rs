@@ -1,11 +1,12 @@
-//! Incremental (streaming) splitter simulation.
+//! Incremental (streaming) splitter simulation: the one splitting
+//! engine.
 //!
-//! [`crate::dense`] evaluates a splitter *per document*: its backward
+//! [`crate::dense`] evaluates a spanner *per document*: its backward
 //! viability pass reads the whole document before the forward pass can
-//! enumerate a single span. That is the right shape for batch corpora,
-//! but it forces the caller to materialize every document in memory. This
-//! module provides the complementary *forward-only* engine behind
-//! streaming execution (`splitc-exec`'s `StreamingSplitter`): a
+//! enumerate a single span. A splitter needs no such pass. This module
+//! provides the *forward-only* engine that runs every compiled split —
+//! whole-document [`crate::splitter::CompiledSplitter::split`] as well
+//! as streaming execution (`splitc-exec`'s `StreamingSplitter`): a
 //! [`SplitterState`] consumes a document **chunk by chunk** and emits
 //! split segments incrementally, with memory proportional to the
 //! unresolved window of the stream rather than to the document.
@@ -40,7 +41,7 @@
 //! paths differentially).
 //!
 //! Confirmed spans are released in ascending `(start, end)` order — the
-//! exact order of [`crate::splitter::CompiledSplitter::split`] — by
+//! exact order of the reference [`crate::splitter::Splitter::split`] — by
 //! holding a confirmed span back until no candidate with a smaller start
 //! can still appear. For the built-in disjoint splitters (sentences,
 //! lines, paragraphs) confirmation happens at the delimiter byte, so the
@@ -150,8 +151,9 @@ struct PhaseDfas {
 /// Precompiled stepping structures of a unary splitter: byte classes,
 /// per-`(state, class)` phase tables (NFA-level), and — when the budget
 /// allows — the eager phase DFAs. Built once per compiled splitter
-/// ([`crate::splitter::CompiledSplitter::stream`] hands out
-/// [`SplitterState`]s sharing one table).
+/// ([`crate::splitter::Splitter::compile`]); every
+/// [`crate::splitter::CompiledSplitter::stream`] hands out a
+/// [`SplitterState`] sharing the one table.
 #[derive(Debug)]
 pub struct StreamTables {
     classes: ByteClasses,
@@ -628,7 +630,8 @@ enum Mode {
 
 /// Incremental splitter execution state: feed document bytes with
 /// [`SplitterState::push`], collect emitted split spans (ascending
-/// `(start, end)`, exactly the spans of the batch splitter), and call
+/// `(start, end)`, exactly the spans of
+/// [`crate::splitter::Splitter::split`]), and call
 /// [`SplitterState::finish`] at end of stream. Obtain one per stream via
 /// [`crate::splitter::CompiledSplitter::stream`]; the precompiled
 /// [`StreamTables`] are shared, the per-stream state is not.
@@ -1166,15 +1169,7 @@ mod tests {
     /// Splits `doc` through a streaming state with the given chunking
     /// and phase-DFA budget.
     fn stream_split_budget(s: &Splitter, doc: &[u8], chunk: usize, budget: usize) -> Vec<Span> {
-        let evsa = {
-            let f = if s.vsa().is_functional() {
-                s.vsa().trim()
-            } else {
-                s.vsa().functionalize()
-            };
-            crate::evsa::EVsa::from_functional(&f)
-        };
-        let tables = Arc::new(StreamTables::compile_with_budget(&evsa, budget));
+        let tables = Arc::new(StreamTables::compile_with_budget(&s.evsa(), budget));
         let mut st = SplitterState::new(tables);
         let mut out = Vec::new();
         for piece in doc.chunks(chunk.max(1)) {
@@ -1196,8 +1191,13 @@ mod tests {
         out
     }
 
+    /// Streams `doc` in several chunkings, on the phase DFAs and on the
+    /// set-based fallback, against the reference evaluator
+    /// ([`Splitter::split`]); the whole-document
+    /// [`crate::splitter::CompiledSplitter::split`] must agree too.
     fn check(s: &Splitter, doc: &[u8]) {
-        let batch = s.compile().split(doc);
+        let batch = s.split(doc);
+        assert_eq!(s.compile().split(doc), batch);
         for chunk in [1, 2, 3, 5, doc.len().max(1)] {
             assert_eq!(
                 stream_split(s, doc, chunk),
@@ -1241,7 +1241,9 @@ mod tests {
     #[test]
     fn overlapping_splitters_stream() {
         check(&splitter::ngrams(2), b"one two three four");
-        check(&splitter::char_windows(3), b"abcdef");
+        for doc in [b"ab".as_slice(), b"abc", b"abcdef"] {
+            check(&splitter::char_windows(3), doc);
+        }
         check(&splitter::ngram_windows(2), b"aa.bb cc");
     }
 
@@ -1287,7 +1289,7 @@ mod tests {
             splitter::paragraphs(),
             splitter::ngrams(2),
         ] {
-            let evsa = crate::evsa::EVsa::from_functional(&s.vsa().trim());
+            let evsa = s.evsa();
             let t = StreamTables::compile(&evsa);
             assert!(t.uses_phase_dfas(), "builtin splitter within budget");
             let off = StreamTables::compile_with_budget(&evsa, 0);
@@ -1314,7 +1316,7 @@ mod tests {
             }
             let skipped = st.bytes_skipped();
             got.extend(st.finish());
-            assert_eq!(got, compiled.split(&doc), "chunk {chunk}");
+            assert_eq!(got, s.split(&doc), "chunk {chunk}");
             assert!(
                 skipped > 400,
                 "scanner should cross the inert prefix (chunk {chunk}): {skipped}"
@@ -1339,7 +1341,7 @@ mod tests {
         let mut got = st.push(&doc);
         assert!(st.bytes_skipped() >= 100, "{}", st.bytes_skipped());
         got.extend(st.finish());
-        assert_eq!(got, compiled.split(&doc));
+        assert_eq!(got, s.split(&doc));
     }
 
     #[test]
@@ -1369,17 +1371,13 @@ mod tests {
 
     #[test]
     fn stream_matches_dense_eval_directly() {
-        // Belt and braces: the emitted spans equal the dense engine's
-        // tuple enumeration, not just the batch splitter wrapper.
+        // Belt and braces: the emitted spans equal both the reference
+        // evaluator's and the dense engine's tuple enumeration.
         let s = splitter::sentences();
-        let c = s.compile();
         let doc = b"aa.bb cc.dd";
-        let spans: Vec<Span> = c
-            .dense()
-            .eval(doc)
-            .iter()
-            .map(|t| t.get(VarId(0)))
-            .collect();
+        let dense = crate::dense::DenseEvsa::compile(Arc::new(s.evsa()), Default::default());
+        let spans: Vec<Span> = dense.eval(doc).iter().map(|t| t.get(VarId(0))).collect();
+        assert_eq!(spans, s.split(doc));
         assert_eq!(stream_split(&s, doc, 4), spans);
     }
 }

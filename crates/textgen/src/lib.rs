@@ -16,7 +16,7 @@
 //! * [`edits`] — seeded Wikipedia-model edit scripts (point edits,
 //!   appends, shard rewrites) over sharded corpora: the workload
 //!   driver behind the incremental-maintenance benchmark.
-//! * [`spangen`] — seeded random spanners, splitter/fleet pools and
+//! * [`spangen`] — seeded random spanners, fleet pools and
 //!   adversarial documents: the shared generator behind the
 //!   repository-wide engine-matrix differential test harness.
 //! * [`spanners`] — the workload extractors: N-gram enumeration,

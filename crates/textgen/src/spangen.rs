@@ -30,17 +30,6 @@ pub const PATTERNS: &[&str] = &[
     ".*x{a.a}.*",
 ];
 
-/// Fixed splitter patterns: disjoint delimiters, the whole document,
-/// overlapping windows, empty-capable prefixes, and the paper's
-/// Example 5.8.
-pub const SPLITTER_PATTERNS: &[&str] = &[
-    "(.*\\.)?x{[^.]+}(\\..*)?", // sentences
-    "x{.*}",                    // whole document
-    ".*x{..}.*",                // 2-byte windows (non-disjoint)
-    "x{a*}.*",                  // prefix of a's (incl. empty)
-    "x{ab}b|a(x{bb})",          // paper example 5.8
-];
-
 /// Tiny SplitMix64 stream for seeded structure generation.
 #[derive(Debug)]
 pub struct Mix(pub u64);
@@ -205,9 +194,6 @@ mod tests {
     fn fixed_patterns_parse() {
         for p in PATTERNS {
             Rgx::parse(p).unwrap().to_vsa().unwrap();
-        }
-        for p in SPLITTER_PATTERNS {
-            splitc_spanner::splitter::Splitter::parse(p).unwrap();
         }
     }
 }

@@ -10,6 +10,8 @@
 //!
 //! * **Deterministic sampling.** Each test derives its RNG seed from the
 //!   test name, so runs are reproducible without a persistence file.
+//!   For soak testing, `PROPTEST_SEED` (a `u64`) is XOR-ed into every
+//!   derived seed; unset, it changes nothing.
 //! * **No shrinking.** A failing case panics with the *unshrunk* inputs
 //!   (every strategy value in this workspace is `Debug`, so failures are
 //!   still actionable).
@@ -31,6 +33,16 @@ pub mod test_runner {
         }
     }
 
+    /// Parses the environment variable `var`: `None` when unset, a panic
+    /// naming the variable when it is set but does not parse.
+    fn env_override<T: std::str::FromStr>(var: &str) -> Option<T> {
+        let raw = std::env::var(var).ok()?;
+        match raw.trim().parse() {
+            Ok(value) => Some(value),
+            Err(_) => panic!("{var}={raw:?} is not a valid unsigned integer"),
+        }
+    }
+
     impl Default for ProptestConfig {
         fn default() -> Self {
             ProptestConfig { cases: 256 }
@@ -45,7 +57,9 @@ pub mod test_runner {
 
     impl TestRng {
         /// Seeds the RNG from an arbitrary string (e.g. the test name),
-        /// so distinct tests see distinct but reproducible streams.
+        /// so distinct tests see distinct but reproducible streams. A
+        /// set `PROPTEST_SEED` is XOR-ed into the seed, rotating every
+        /// stream at once.
         pub fn from_name(name: &str) -> Self {
             // FNV-1a over the name.
             let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -53,7 +67,10 @@ pub mod test_runner {
                 h ^= b as u64;
                 h = h.wrapping_mul(0x0000_0100_0000_01B3);
             }
-            TestRng { state: h }
+            let rotation: u64 = env_override("PROPTEST_SEED").unwrap_or(0);
+            TestRng {
+                state: h ^ rotation,
+            }
         }
 
         /// Next 64 random bits (SplitMix64).
