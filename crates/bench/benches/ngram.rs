@@ -3,7 +3,7 @@
 //! of the N-gram extractor.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use splitc_exec::{evaluate_sequential, evaluate_split, ExecSpanner, SplitFn};
+use splitc_exec::{evaluate_sequential, evaluate_split, CompileOptions, SplitFn};
 use splitc_spanner::splitter::native;
 use splitc_textgen::{spanners, wiki_corpus, CorpusConfig};
 use std::sync::Arc;
@@ -20,7 +20,7 @@ fn bench_ngram(c: &mut Criterion) {
     group.throughput(Throughput::Bytes(doc.len() as u64));
     group.sample_size(10);
     for n in [2usize, 3] {
-        let spanner = ExecSpanner::compile(&spanners::ngram_extractor(n));
+        let spanner = CompileOptions::new().compile_spanner(&spanners::ngram_extractor(n));
         group.bench_with_input(BenchmarkId::new("sequential", n), &n, |b, _| {
             b.iter(|| evaluate_sequential(&spanner, &doc))
         });

@@ -7,7 +7,7 @@
 //! times (the benchmark host is single-core; see `exec::simulate`).
 
 use splitc_bench::{bench_json, engine_arg, ms, scaled, time, time_best, x, Table};
-use splitc_exec::{simulate_split, ExecSpanner, SplitFn};
+use splitc_exec::{simulate_split, CompileOptions, SplitFn};
 use splitc_spanner::splitter::{self, native};
 use splitc_textgen::{spanners, wiki_corpus, CorpusConfig};
 use std::sync::Arc;
@@ -51,7 +51,7 @@ fn main() {
         let s = splitter::sentences();
         let verdict = splitc_core::self_splittable(&p, &s).unwrap();
         assert!(verdict.holds(), "N-gram extractor must be self-splittable");
-        let spanner = ExecSpanner::compile_with(&p, engine);
+        let spanner = CompileOptions::new().engine(engine).compile_spanner(&p);
         let split: SplitFn = Arc::new(native::sentences);
         let report = simulate_split(&spanner, &split, &doc, &[1, 2, 5]);
         let (rel, seq_wall) = time_best(2, || spanner.eval(&doc));

@@ -5,7 +5,7 @@
 //! simulated 5-worker pool (see E1 / `exec::simulate`).
 
 use splitc_bench::{bench_json, engine_arg, ms, scaled, time, time_best, x, Table};
-use splitc_exec::{simulate_split, ExecSpanner, SplitFn};
+use splitc_exec::{simulate_split, CompileOptions, SplitFn};
 use splitc_spanner::splitter::native;
 use splitc_textgen::{pubmed_corpus, spanners};
 use std::sync::Arc;
@@ -26,7 +26,7 @@ fn main() {
     );
 
     let p = spanners::ngram_extractor(2);
-    let spanner = ExecSpanner::compile_with(&p, engine);
+    let spanner = CompileOptions::new().engine(engine).compile_spanner(&p);
     let split: SplitFn = Arc::new(native::sentences);
     let report = simulate_split(&spanner, &split, &doc, &[1, 2, 5]);
     let (rel, seq_wall) = time_best(2, || spanner.eval(&doc));

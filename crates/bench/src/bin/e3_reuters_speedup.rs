@@ -8,7 +8,7 @@
 //! pool.
 
 use splitc_bench::{bench_json, engine_arg, ms, scale, time, x, Table};
-use splitc_exec::{simulate_collection, ExecSpanner, SplitFn};
+use splitc_exec::{simulate_collection, CompileOptions, SplitFn};
 use splitc_spanner::splitter::native;
 use splitc_textgen::{articles_corpus, skewed_articles_corpus, spanners};
 use std::sync::Arc;
@@ -24,7 +24,7 @@ fn main() {
     let refs: Vec<&[u8]> = docs.iter().map(Vec::as_slice).collect();
 
     let p = spanners::transaction_extractor();
-    let spanner = ExecSpanner::compile_with(&p, engine);
+    let spanner = CompileOptions::new().engine(engine).compile_spanner(&p);
     let split: SplitFn = Arc::new(native::sentences);
 
     let (per_doc, per_chunk) = simulate_collection(&spanner, &split, &refs, &[5], 5);

@@ -7,7 +7,7 @@
 //! granularity on a simulated 5-worker pool.
 
 use splitc_bench::{bench_json, engine_arg, ms, scale, time, x, Table};
-use splitc_exec::{simulate_collection, ExecSpanner, SplitFn};
+use splitc_exec::{simulate_collection, CompileOptions, SplitFn};
 use splitc_spanner::splitter::native;
 use splitc_textgen::{reviews_corpus, spanners};
 use std::sync::Arc;
@@ -23,7 +23,7 @@ fn main() {
     let refs: Vec<&[u8]> = docs.iter().map(Vec::as_slice).collect();
 
     let p = spanners::negative_sentiment_targets();
-    let spanner = ExecSpanner::compile_with(&p, engine);
+    let spanner = CompileOptions::new().engine(engine).compile_spanner(&p);
     let split: SplitFn = Arc::new(native::sentences);
 
     let (per_doc, per_chunk) = simulate_collection(&spanner, &split, &refs, &[5], 5);

@@ -16,7 +16,7 @@
 //! buffer (which stays near chunk + segment size, not corpus size).
 
 use splitc_bench::{bench_json, engine_arg, ms, scaled, time_best, x, Table};
-use splitc_exec::{evaluate_many_split, CorpusRunner, CorpusRunnerConfig, ExecSpanner, SplitFn};
+use splitc_exec::{evaluate_many_split, CompileOptions, RunnerOptions, SplitFn};
 use splitc_spanner::splitter;
 use splitc_spanner::vsa::Vsa;
 use splitc_textgen::{wiki_corpus_shards, CorpusConfig};
@@ -51,7 +51,9 @@ fn main() {
         seed: 0x5EED,
         ..Default::default()
     };
-    let spanner = ExecSpanner::compile_with(&number_extractor(), engine);
+    let spanner = CompileOptions::new()
+        .engine(engine)
+        .compile_spanner(&number_extractor());
     let s = splitter::sentences();
     let compiled = s.compile();
 
@@ -87,14 +89,9 @@ fn main() {
 
     // Streaming pipeline over the same paragraph chunks — no document
     // is ever materialized on this path.
-    let runner = CorpusRunner::new(
-        spanner.clone(),
-        compiled.clone(),
-        CorpusRunnerConfig {
-            workers,
-            ..Default::default()
-        },
-    );
+    let runner = RunnerOptions::new()
+        .workers(workers)
+        .corpus_runner(spanner.clone(), compiled.clone());
     let (stream_result, stream_wall) = time_best(2, || {
         runner.run_streams(
             shard_chunks

@@ -27,7 +27,7 @@
 //! dense by the configured floor on the collection rows.
 
 use splitc_bench::{bench_json, ms, scaled, time_best, x, Table};
-use splitc_exec::{evaluate_many, CorpusRunner, CorpusRunnerConfig, Engine, ExecSpanner};
+use splitc_exec::{evaluate_many, CompileOptions, Engine, ExecSpanner, RunnerOptions};
 use splitc_spanner::splitter;
 use splitc_spanner::vsa::Vsa;
 use splitc_textgen::{sparse_number_shards, CorpusConfig};
@@ -53,8 +53,10 @@ fn main() {
         verdict.holds(),
         "number extractor must be sentence-self-splittable"
     );
-    let dense = ExecSpanner::compile_with(&p, Engine::Dense);
-    let pre = ExecSpanner::compile_with(&p, Engine::Prefilter);
+    let dense = CompileOptions::new().compile_spanner(&p);
+    let pre = CompileOptions::new()
+        .engine(Engine::Prefilter)
+        .compile_spanner(&p);
 
     // ------------------------------------------------------------------
     // Collection workload: many small documents, most entirely barren.
@@ -137,14 +139,9 @@ fn main() {
     let refs: Vec<&[u8]> = owned.iter().map(Vec::as_slice).collect();
     let stream_bytes: usize = refs.iter().map(|d| d.len()).sum();
     let run = |spanner: &ExecSpanner| {
-        let runner = CorpusRunner::new(
-            spanner.clone(),
-            s.compile(),
-            CorpusRunnerConfig {
-                workers,
-                ..Default::default()
-            },
-        );
+        let runner = RunnerOptions::new()
+            .workers(workers)
+            .corpus_runner(spanner.clone(), s.compile());
         time_best(2, || runner.run_slices(&refs))
     };
     let (dense_stream, dense_stream_wall) = run(&dense);

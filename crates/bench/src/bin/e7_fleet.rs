@@ -3,7 +3,7 @@
 //!
 //! A deployment of split-correct extraction rarely runs *one* rule: a
 //! rule catalog of tens to hundreds of extractors is evaluated over the
-//! same corpus. The sequential shape — one [`CorpusRunner`] per rule —
+//! same corpus. The sequential shape — one [`splitc_exec::CorpusRunner`] per rule —
 //! re-streams, re-splits, and re-scans the corpus once per rule. The
 //! fleet engine ([`splitc_exec::FleetRunner`]) fuses the catalog into
 //! one pass: one streaming split, one shared byte partition, one merged
@@ -27,7 +27,7 @@
 //! `e6_sparse_prefilter`).
 
 use splitc_bench::{bench_json, ms, scaled, time_best, x, Table};
-use splitc_exec::{CorpusRunner, CorpusRunnerConfig, Engine, ExecSpanner, Fleet, FleetRunner};
+use splitc_exec::{CompileOptions, Engine, ExecSpanner, RunnerOptions};
 use splitc_spanner::splitter;
 use splitc_textgen::{spanners, CorpusConfig};
 use std::sync::Arc;
@@ -37,11 +37,9 @@ fn main() {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(4);
-    let config = CorpusRunnerConfig {
-        workers,
-        ..Default::default()
-    };
-    let engine = Engine::Prefilter; // strongest sequential baseline
+    let opts = RunnerOptions::new().workers(workers);
+    // Prefilter: the strongest sequential baseline.
+    let compile = CompileOptions::new().engine(Engine::Prefilter);
     let fleet_sizes = [10usize, 50, 200];
     let max_fleet = *fleet_sizes.iter().max().unwrap();
     // Flavors: how often a sentence mentions any keyword at all.
@@ -80,8 +78,8 @@ fn main() {
 
         for &n in &fleet_sizes {
             let vsas = spanners::keyword_fleet(n);
-            let fleet = Arc::new(Fleet::compile(&vsas, engine));
-            let runner = FleetRunner::new(fleet.clone(), splitter::sentences().compile(), config);
+            let fleet = Arc::new(compile.compile_fleet(&vsas));
+            let runner = opts.fleet_runner(fleet.clone(), splitter::sentences().compile());
             let (fused, fused_wall) = time_best(2, || runner.run_slices(&refs));
             let fused_tuples: usize = fused
                 .relations
@@ -89,15 +87,13 @@ fn main() {
                 .flat_map(|row| row.iter().map(|r| r.len()))
                 .sum();
 
-            let members: Vec<ExecSpanner> = vsas
-                .iter()
-                .map(|v| ExecSpanner::compile_with(v, engine))
-                .collect();
+            let members: Vec<ExecSpanner> =
+                vsas.iter().map(|v| compile.compile_spanner(v)).collect();
             let (seq, seq_wall) = time_best(2, || {
                 members
                     .iter()
                     .map(|m| {
-                        CorpusRunner::new(m.clone(), splitter::sentences().compile(), config)
+                        opts.corpus_runner(m.clone(), splitter::sentences().compile())
                             .run_slices(&refs)
                     })
                     .collect::<Vec<_>>()

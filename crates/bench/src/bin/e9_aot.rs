@@ -16,7 +16,7 @@
 //! uniformity (both engines are always run).
 
 use splitc_bench::{bench_json, engine_arg, ms, scale, scaled, time_best, x, Table};
-use splitc_exec::{Engine, ExecSpanner};
+use splitc_exec::{CompileOptions, Engine, ExecSpanner};
 use splitc_spanner::vsa::Vsa;
 use splitc_textgen::{
     articles_corpus, pubmed_corpus, reviews_corpus, spanners, wiki_corpus, CorpusConfig,
@@ -82,8 +82,10 @@ fn main() {
     );
     for w in workloads() {
         let bytes: usize = w.docs.iter().map(Vec::len).sum();
-        let dense = ExecSpanner::compile_with(&w.vsa, Engine::Dense);
-        let aot = ExecSpanner::compile_with(&w.vsa, Engine::Aot);
+        let dense = CompileOptions::new().compile_spanner(&w.vsa);
+        let aot = CompileOptions::new()
+            .engine(Engine::Aot)
+            .compile_spanner(&w.vsa);
         assert_eq!(
             aot.tier(),
             Engine::Aot,

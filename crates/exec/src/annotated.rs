@@ -75,7 +75,7 @@ mod tests {
     }
 
     fn spanner(pat: &str) -> ExecSpanner {
-        ExecSpanner::compile(&Rgx::parse(pat).unwrap().to_vsa().unwrap())
+        crate::CompileOptions::new().compile_spanner(&Rgx::parse(pat).unwrap().to_vsa().unwrap())
     }
 
     #[test]
@@ -135,8 +135,14 @@ mod tests {
         let plan = AnnotatedPlan::new(
             Arc::new(method_split),
             [
-                ("get".to_string(), ExecSpanner::compile(&get_p)),
-                ("post".to_string(), ExecSpanner::compile(&post_p)),
+                (
+                    "get".to_string(),
+                    crate::CompileOptions::new().compile_spanner(&get_p),
+                ),
+                (
+                    "post".to_string(),
+                    crate::CompileOptions::new().compile_spanner(&post_p),
+                ),
             ],
         );
         let log = b"get alpha\nhost h\n\npost beta\nhost i";

@@ -41,7 +41,8 @@ use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::Arc;
 
 /// Tuning knobs of a [`CorpusRunner`] (and of a [`crate::FleetRunner`],
-/// which runs the same pipeline).
+/// which runs the same pipeline), set through the per-field setters of
+/// [`crate::RunnerOptions`].
 #[derive(Debug, Clone, Copy)]
 pub struct CorpusRunnerConfig {
     /// Evaluation worker threads (the producer streams and splits on the
@@ -533,8 +534,8 @@ fn worker_loop<E: SegmentEval>(
 
 /// Streaming sharded corpus executor: one [`ExecSpanner`] over the
 /// shared pipeline (see the [module docs](self)). Construct with
-/// [`CorpusRunner::new`] or [`crate::RunnerOptions::corpus_runner`] and
-/// feed a corpus with [`CorpusRunner::run_streams`] (chunked sources),
+/// [`crate::RunnerOptions::corpus_runner`] and feed a corpus with
+/// [`CorpusRunner::run_streams`] (chunked sources),
 /// [`CorpusRunner::run_slices`] (materialized documents, driven through
 /// the same streaming path), or [`CorpusRunner::run_presplit`].
 #[derive(Debug)]
@@ -544,32 +545,6 @@ pub struct CorpusRunner {
 }
 
 impl CorpusRunner {
-    /// Creates a runner evaluating `spanner` over the segments produced
-    /// by `splitter`, on per-run spawned workers. For results equal to
-    /// whole-document evaluation the pair must be certified
-    /// split-correct; the runner itself computes `P_S ∘ S` faithfully
-    /// either way.
-    pub fn new(
-        spanner: ExecSpanner,
-        splitter: CompiledSplitter,
-        config: CorpusRunnerConfig,
-    ) -> CorpusRunner {
-        crate::RunnerOptions::new()
-            .config(config)
-            .corpus_runner(spanner, splitter)
-    }
-
-    /// Attaches a shared [`SegmentCache`]: workers look each segment up
-    /// by content before dispatching the engine, so repeated segments —
-    /// across documents, runs, and (for a process-wide cache) requests —
-    /// are answered without re-evaluation. Results are byte-identical
-    /// with or without a cache (hits return exactly the relation the
-    /// engine would compute; the deterministic merge is unchanged).
-    pub fn with_segment_cache(mut self, cache: Arc<SegmentCache>) -> CorpusRunner {
-        self.pipeline.segment_cache = Some(cache);
-        self
-    }
-
     /// The runner's configuration.
     pub fn config(&self) -> &CorpusRunnerConfig {
         &self.pipeline.config
@@ -638,7 +613,7 @@ fn corpus_result(run: PipelineRun<(DenseCacheStats, PrefilterStats)>) -> CorpusR
 mod tests {
     use super::*;
     use crate::engine::{evaluate_many_split, Engine, SplitFn};
-    use crate::RunnerOptions;
+    use crate::{CompileOptions, RunnerOptions};
     use splitc_spanner::rgx::Rgx;
     use splitc_spanner::splitter;
     use splitc_spanner::vsa::Vsa;
@@ -647,12 +622,14 @@ mod tests {
         Rgx::parse(pat).unwrap().to_vsa().unwrap()
     }
 
-    fn runner(pat: &str, config: CorpusRunnerConfig) -> CorpusRunner {
-        CorpusRunner::new(
-            ExecSpanner::compile(&vsa(pat)),
-            splitter::sentences().compile(),
-            config,
-        )
+    fn spanner(pat: &str, engine: Engine) -> ExecSpanner {
+        CompileOptions::new()
+            .engine(engine)
+            .compile_spanner(&vsa(pat))
+    }
+
+    fn runner(pat: &str, opts: RunnerOptions) -> CorpusRunner {
+        opts.corpus_runner(spanner(pat, Engine::Dense), splitter::sentences().compile())
     }
 
     /// Sentence splitting by the reference evaluator, independent of the
@@ -676,19 +653,9 @@ mod tests {
     fn matches_evaluate_many_split() {
         let owned = docs();
         let refs: Vec<&[u8]> = owned.iter().map(Vec::as_slice).collect();
-        let r = runner(
-            ".*x{a+}.*",
-            CorpusRunnerConfig {
-                workers: 3,
-                batch_bytes: 4,
-                queue_depth: 2,
-                chunk_bytes: 3,
-            },
-        );
-        let got = r.run_slices(&refs);
+        let got = runner(".*x{a+}.*", RunnerOptions::tiny()).run_slices(&refs);
         let split = reference_split();
-        let spanner = ExecSpanner::compile(&vsa(".*x{a+}.*"));
-        let expected = evaluate_many_split(&spanner, &split, &refs, 3);
+        let expected = evaluate_many_split(&spanner(".*x{a+}.*", Engine::Dense), &split, &refs, 3);
         assert_eq!(got.relations, expected);
         assert_eq!(got.stats.docs, refs.len());
         assert!(got.stats.segments > 0);
@@ -698,21 +665,16 @@ mod tests {
     fn nfa_engine_and_zero_workers() {
         let owned = docs();
         let refs: Vec<&[u8]> = owned.iter().map(Vec::as_slice).collect();
-        let r = CorpusRunner::new(
-            ExecSpanner::compile_with(&vsa(".*x{a+}.*"), Engine::Nfa),
-            splitter::sentences().compile(),
-            CorpusRunnerConfig {
-                workers: 0,
-                ..Default::default()
-            },
-        );
-        let got = r.run_slices(&refs);
+        let got = RunnerOptions::new()
+            .workers(0)
+            .corpus_runner(
+                spanner(".*x{a+}.*", Engine::Nfa),
+                splitter::sentences().compile(),
+            )
+            .run_slices(&refs);
         let split = reference_split();
-        let spanner = ExecSpanner::compile(&vsa(".*x{a+}.*"));
-        assert_eq!(
-            got.relations,
-            evaluate_many_split(&spanner, &split, &refs, 1)
-        );
+        let dense = spanner(".*x{a+}.*", Engine::Dense);
+        assert_eq!(got.relations, evaluate_many_split(&dense, &split, &refs, 1));
         assert_eq!(got.stats.cache, DenseCacheStats::default());
     }
 
@@ -720,14 +682,7 @@ mod tests {
     fn cache_is_warm_on_repetitive_corpora() {
         let owned: Vec<Vec<u8>> = (0..50).map(|_| b"aa bb. cc aa. aaa".to_vec()).collect();
         let refs: Vec<&[u8]> = owned.iter().map(Vec::as_slice).collect();
-        let r = runner(
-            ".*x{a+}.*",
-            CorpusRunnerConfig {
-                workers: 2,
-                ..Default::default()
-            },
-        );
-        let got = r.run_slices(&refs);
+        let got = runner(".*x{a+}.*", RunnerOptions::new().workers(2)).run_slices(&refs);
         assert!(
             got.stats.cache.hit_rate() > 0.9,
             "lazy DFA should be amortized: {:?}",
@@ -743,15 +698,8 @@ mod tests {
             .flat_map(|_| b"aaaa bb aaaa cc.".to_vec())
             .collect();
         let refs: Vec<&[u8]> = vec![&doc];
-        let r = runner(
-            ".*x{a+}.*",
-            CorpusRunnerConfig {
-                workers: 2,
-                chunk_bytes: 512,
-                ..Default::default()
-            },
-        );
-        let got = r.run_slices(&refs);
+        let opts = RunnerOptions::new().workers(2).chunk_bytes(512);
+        let got = runner(".*x{a+}.*", opts).run_slices(&refs);
         assert!(
             got.stats.peak_buffered_bytes <= 512 + 64,
             "peak {} should be ~chunk+segment, doc is {}",
@@ -769,22 +717,13 @@ mod tests {
         owned.push(b"the answer is 42. plain tail".to_vec());
         let refs: Vec<&[u8]> = owned.iter().map(Vec::as_slice).collect();
         let pat = "(.*[^0-9]|)x{[0-9]+}([^0-9].*|)";
-        let pre = CorpusRunner::new(
-            ExecSpanner::compile_with(&vsa(pat), Engine::Prefilter),
+        let opts = RunnerOptions::new().workers(2);
+        let pre = opts.corpus_runner(
+            spanner(pat, Engine::Prefilter),
             splitter::sentences().compile(),
-            CorpusRunnerConfig {
-                workers: 2,
-                ..Default::default()
-            },
         );
-        let dense = CorpusRunner::new(
-            ExecSpanner::compile_with(&vsa(pat), Engine::Dense),
-            splitter::sentences().compile(),
-            CorpusRunnerConfig {
-                workers: 2,
-                ..Default::default()
-            },
-        );
+        let dense =
+            opts.corpus_runner(spanner(pat, Engine::Dense), splitter::sentences().compile());
         let got = pre.run_slices(&refs);
         assert_eq!(got.relations, dense.run_slices(&refs).relations);
         let pf = got.stats.prefilter;
@@ -804,7 +743,7 @@ mod tests {
 
     #[test]
     fn empty_corpus() {
-        let r = runner("x{a*}", CorpusRunnerConfig::default());
+        let r = runner("x{a*}", RunnerOptions::new());
         let got = r.run_slices(&[]);
         assert!(got.relations.is_empty());
         assert_eq!(got.stats, CorpusStats::default());
@@ -814,27 +753,15 @@ mod tests {
     fn pooled_runner_matches_spawned_runner() {
         let owned = docs();
         let refs: Vec<&[u8]> = owned.iter().map(Vec::as_slice).collect();
-        let config = CorpusRunnerConfig {
-            workers: 3,
-            batch_bytes: 4,
-            queue_depth: 2,
-            chunk_bytes: 3,
-        };
-        let spawned = runner(".*x{a+}.*", config).run_slices(&refs);
+        let spawned = runner(".*x{a+}.*", RunnerOptions::tiny()).run_slices(&refs);
         // A shared pool, reused across several requests — including one
         // *smaller* than the requested worker count (self-draining
         // loops must still complete the run).
         for pool_size in [1, 2, 8] {
             let pool = Arc::new(EvalPool::new(pool_size));
             for _request in 0..3 {
-                let r = RunnerOptions::new()
-                    .config(config)
-                    .pool(pool.clone())
-                    .corpus_runner(
-                        ExecSpanner::compile(&vsa(".*x{a+}.*")),
-                        splitter::sentences().compile(),
-                    );
-                let got = r.run_slices(&refs);
+                let got =
+                    runner(".*x{a+}.*", RunnerOptions::tiny().pool(pool.clone())).run_slices(&refs);
                 assert_eq!(got.relations, spawned.relations, "pool size {pool_size}");
             }
             assert!(pool.stats().submitted >= 3, "pool was actually used");
@@ -844,15 +771,8 @@ mod tests {
     #[test]
     fn repeated_segments_hit_segment_cache() {
         let cache = Arc::new(SegmentCache::new(64));
-        let r = runner(
-            ".*x{a+}.*",
-            CorpusRunnerConfig {
-                workers: 1,
-                ..Default::default()
-            },
-        )
-        .with_segment_cache(cache.clone());
-        let got = r.run_slices(&[b"aa.aa.aa"]); // three identical segments
+        let opts = RunnerOptions::new().workers(1).segment_cache(cache.clone());
+        let got = runner(".*x{a+}.*", opts).run_slices(&[b"aa.aa.aa"]); // three identical segments
         let s = cache.stats();
         assert_eq!((s.misses, s.hits), (1, 2));
         // Per segment: x ∈ {a@0, a@1, aa} — 3 tuples, shifted apart.
@@ -946,15 +866,13 @@ mod tests {
         // The one-thread pool survived the panicked run and serves a
         // correct one; batches far outnumber the queue's single slot.
         let refs: Vec<&[u8]> = docs.iter().map(Vec::as_slice).collect();
-        let pooled = RunnerOptions::new()
-            .config(config)
-            .pool(pool.clone())
-            .corpus_runner(
-                ExecSpanner::compile(&vsa(".*x{a+}.*")),
-                splitter::sentences().compile(),
-            )
-            .run_slices(&refs);
-        let spawned = runner(".*x{a+}.*", config).run_slices(&refs);
+        let opts = RunnerOptions::new()
+            .workers(1)
+            .batch_bytes(1)
+            .queue_depth(1)
+            .chunk_bytes(2);
+        let pooled = runner(".*x{a+}.*", opts.clone().pool(pool.clone())).run_slices(&refs);
+        let spawned = runner(".*x{a+}.*", opts).run_slices(&refs);
         assert_eq!(pooled.relations, spawned.relations);
         assert_eq!(pooled.stats.docs, 64);
         assert!(

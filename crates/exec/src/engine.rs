@@ -6,22 +6,14 @@ use splitc_spanner::eval::eval_evsa;
 use splitc_spanner::evsa::EVsa;
 use splitc_spanner::prefilter::{PrefilterStats, PrefilteredEvsa};
 use splitc_spanner::span::Span;
-use splitc_spanner::splitter::Splitter;
 use splitc_spanner::tuple::{SpanRelation, SpanTuple};
-use splitc_spanner::vsa::Vsa;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// A splitting function: documents to split spans. Native splitters
-/// (`splitc_spanner::splitter::native`) are used on large corpora;
-/// formal splitters can be wrapped via [`split_fn_of_splitter`].
+/// (`splitc_spanner::splitter::native`) are used on large corpora; a
+/// formal splitter wraps as `Arc::new(move |doc| compiled.split(doc))`.
 pub type SplitFn = Arc<dyn Fn(&[u8]) -> Vec<Span> + Send + Sync>;
-
-/// Wraps a formal (automaton) splitter as a [`SplitFn`].
-pub fn split_fn_of_splitter(s: &Splitter) -> SplitFn {
-    let compiled = s.compile();
-    Arc::new(move |doc| compiled.split(doc))
-}
 
 /// Evaluation engine selection for [`ExecSpanner`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -50,14 +42,18 @@ pub enum Engine {
 }
 
 impl Engine {
+    /// Every engine with its stable lowercase name, in declaration
+    /// order: the one list both [`Engine::name`] and parsing read.
+    const NAMES: [(Engine, &'static str); 4] = [
+        (Engine::Nfa, "nfa"),
+        (Engine::Dense, "dense"),
+        (Engine::Prefilter, "prefilter"),
+        (Engine::Aot, "aot"),
+    ];
+
     /// Stable lowercase name (as accepted by the bench `--engine` flag).
     pub fn name(self) -> &'static str {
-        match self {
-            Engine::Nfa => "nfa",
-            Engine::Dense => "dense",
-            Engine::Prefilter => "prefilter",
-            Engine::Aot => "aot",
-        }
+        Engine::NAMES[self as usize].1
     }
 }
 
@@ -65,15 +61,14 @@ impl std::str::FromStr for Engine {
     type Err = String;
 
     fn from_str(s: &str) -> Result<Engine, String> {
-        match s {
-            "nfa" => Ok(Engine::Nfa),
-            "dense" => Ok(Engine::Dense),
-            "prefilter" => Ok(Engine::Prefilter),
-            "aot" => Ok(Engine::Aot),
-            other => Err(format!(
-                "unknown engine {other:?} (expected nfa|dense|prefilter|aot)"
-            )),
-        }
+        Engine::NAMES
+            .iter()
+            .find(|&&(_, name)| name == s)
+            .map(|&(engine, _)| engine)
+            .ok_or_else(|| {
+                let names: Vec<&str> = Engine::NAMES.iter().map(|&(_, name)| name).collect();
+                format!("unknown engine {s:?} (expected {})", names.join("|"))
+            })
     }
 }
 
@@ -211,7 +206,8 @@ impl EngineBackend for AotBackend {
     }
 }
 
-/// A spanner compiled for repeated evaluation.
+/// A spanner compiled for repeated evaluation, built by
+/// [`crate::CompileOptions::compile_spanner`].
 #[derive(Debug, Clone)]
 pub struct ExecSpanner {
     evsa: Arc<EVsa>,
@@ -227,33 +223,6 @@ pub struct ExecSpanner {
 }
 
 impl ExecSpanner {
-    /// Compiles a VSet-automaton once (functionalization + block normal
-    /// form) with the default [`Engine::Dense`]. Thin wrapper over
-    /// [`crate::CompileOptions`], the general front door.
-    pub fn compile(vsa: &Vsa) -> ExecSpanner {
-        crate::CompileOptions::new().compile_spanner(vsa)
-    }
-
-    /// Compiles with an explicit engine choice. Thin wrapper over
-    /// [`crate::CompileOptions::engine`].
-    pub fn compile_with(vsa: &Vsa, engine: Engine) -> ExecSpanner {
-        crate::CompileOptions::new()
-            .engine(engine)
-            .compile_spanner(vsa)
-    }
-
-    /// [`ExecSpanner::compile_with`] plus an explicit dense-engine
-    /// configuration (cache bound, skip-loop) applied to whichever tier
-    /// actually compiles — used by the engine-matrix differential
-    /// harness to starve lazy-DFA caches under every engine. Thin
-    /// wrapper over [`crate::CompileOptions::dense`].
-    pub fn compile_with_config(vsa: &Vsa, engine: Engine, config: DenseConfig) -> ExecSpanner {
-        crate::CompileOptions::new()
-            .engine(engine)
-            .dense(config)
-            .compile_spanner(vsa)
-    }
-
     /// Builds the spanner for an already-compiled automaton, optionally
     /// indexing the dense tables by a shared byte partition (the fleet
     /// engine passes the coarsest common refinement across its
@@ -483,9 +452,16 @@ mod tests {
     use super::*;
     use splitc_spanner::rgx::Rgx;
     use splitc_spanner::splitter::{self, native};
+    use splitc_spanner::vsa::Vsa;
+
+    fn compile(vsa: &Vsa, engine: Engine) -> ExecSpanner {
+        crate::CompileOptions::new()
+            .engine(engine)
+            .compile_spanner(vsa)
+    }
 
     fn spanner(pat: &str) -> ExecSpanner {
-        ExecSpanner::compile(&Rgx::parse(pat).unwrap().to_vsa().unwrap())
+        compile(&Rgx::parse(pat).unwrap().to_vsa().unwrap(), Engine::Dense)
     }
 
     #[test]
@@ -506,7 +482,8 @@ mod tests {
     #[test]
     fn formal_splitter_wrapping() {
         let p = spanner(".*x{a+}.*");
-        let split = split_fn_of_splitter(&splitter::sentences());
+        let compiled = splitter::sentences().compile();
+        let split: SplitFn = Arc::new(move |doc| compiled.split(doc));
         let doc = b"aa.bb aaa";
         assert_eq!(
             evaluate_split(&p, &split, doc, 2),
@@ -556,11 +533,14 @@ mod tests {
     fn engines_agree_and_default_is_dense() {
         let pat = ".*x{a+}.*";
         let p = Rgx::parse(pat).unwrap().to_vsa().unwrap();
-        let nfa = ExecSpanner::compile_with(&p, Engine::Nfa);
-        let dense = ExecSpanner::compile_with(&p, Engine::Dense);
+        let nfa = compile(&p, Engine::Nfa);
+        let dense = compile(&p, Engine::Dense);
         assert_eq!(nfa.engine(), Engine::Nfa);
         assert_eq!(dense.engine(), Engine::Dense);
-        assert_eq!(ExecSpanner::compile(&p).engine(), Engine::Dense);
+        assert_eq!(
+            crate::CompileOptions::new().compile_spanner(&p).engine(),
+            Engine::Dense
+        );
         let split: SplitFn = Arc::new(native::sentences);
         for doc in [b"aa bb aaa. a. bbb aa".as_slice(), b"", b"..."] {
             assert_eq!(nfa.eval(doc), dense.eval(doc));
@@ -572,7 +552,13 @@ mod tests {
         assert_eq!("nfa".parse::<Engine>().unwrap(), Engine::Nfa);
         assert_eq!("dense".parse::<Engine>().unwrap(), Engine::Dense);
         assert_eq!("prefilter".parse::<Engine>().unwrap(), Engine::Prefilter);
-        assert!("turbo".parse::<Engine>().is_err());
+        assert_eq!(
+            "turbo".parse::<Engine>().unwrap_err(),
+            "unknown engine \"turbo\" (expected nfa|dense|prefilter|aot)"
+        );
+        for e in [Engine::Nfa, Engine::Dense, Engine::Prefilter, Engine::Aot] {
+            assert_eq!(e.name().parse::<Engine>(), Ok(e));
+        }
     }
 
     #[test]
@@ -581,8 +567,8 @@ mod tests {
         // the relations still match the other engines exactly.
         let pat = "(.*[^0-9]|)x{[0-9]+}([^0-9].*|)";
         let p = Rgx::parse(pat).unwrap().to_vsa().unwrap();
-        let dense = ExecSpanner::compile_with(&p, Engine::Dense);
-        let pre = ExecSpanner::compile_with(&p, Engine::Prefilter);
+        let dense = compile(&p, Engine::Dense);
+        let pre = compile(&p, Engine::Prefilter);
         assert_eq!(pre.engine(), Engine::Prefilter);
         assert_eq!(pre.engine().name(), "prefilter");
         let split: SplitFn = Arc::new(native::sentences);
@@ -604,8 +590,8 @@ mod tests {
     fn aot_engine_agrees_and_reports_tier() {
         let pat = "(.*[^0-9]|)x{[0-9]+}([^0-9].*|)";
         let p = Rgx::parse(pat).unwrap().to_vsa().unwrap();
-        let dense = ExecSpanner::compile_with(&p, Engine::Dense);
-        let aot = ExecSpanner::compile_with(&p, Engine::Aot);
+        let dense = compile(&p, Engine::Dense);
+        let aot = compile(&p, Engine::Aot);
         assert_eq!(aot.engine(), Engine::Aot);
         assert_eq!(aot.tier(), Engine::Aot, "small spanner must fit the budget");
         assert_eq!(dense.tier(), Engine::Dense);

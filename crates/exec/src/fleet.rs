@@ -45,7 +45,6 @@ use splitc_spanner::dense::{DenseCache, DenseCacheStats, DenseConfig};
 use splitc_spanner::evsa::EVsa;
 use splitc_spanner::prefilter::{PrefilterAnalysis, PrefilterStats};
 use splitc_spanner::span::Span;
-use splitc_spanner::splitter::CompiledSplitter;
 use splitc_spanner::tuple::SpanRelation;
 use splitc_spanner::vsa::Vsa;
 use std::sync::Arc;
@@ -166,10 +165,10 @@ pub(crate) struct Tally {
 
 /// A fleet of spanners compiled for fused evaluation.
 ///
-/// Compile once with [`Fleet::compile`]; evaluate whole documents with
-/// [`Fleet::eval`] or stream a corpus through a [`FleetRunner`]. The
-/// type is cheap to share across threads (wrap in [`Arc`]); the fused
-/// pass itself is driven with per-worker scratch.
+/// Compile once with [`crate::CompileOptions::compile_fleet`]; evaluate
+/// whole documents with [`Fleet::eval`] or stream a corpus through a
+/// [`FleetRunner`]. The type is cheap to share across threads (wrap in
+/// [`Arc`]); the fused pass itself is driven with per-worker scratch.
 #[derive(Debug)]
 pub struct Fleet {
     members: Vec<FleetMember>,
@@ -187,33 +186,12 @@ pub struct Fleet {
 }
 
 impl Fleet {
-    /// Compiles a fleet from VSet-automata (functionalization + block
-    /// normal form per member, as in [`ExecSpanner::compile_with`]),
-    /// sharing one byte partition and one needle scanner across the
-    /// fleet.
-    pub fn compile(vsas: &[Vsa], engine: Engine) -> Fleet {
-        Fleet::compile_with(vsas, engine, DenseConfig::default())
-    }
-
-    /// [`Fleet::compile`] with an explicit dense-engine configuration
-    /// applied to every member (cache bound, skip-loop).
-    pub fn compile_with(vsas: &[Vsa], engine: Engine, config: DenseConfig) -> Fleet {
-        let evsas: Vec<Arc<EVsa>> = vsas
-            .iter()
-            .map(|vsa| {
-                let f = if vsa.is_functional() {
-                    vsa.trim()
-                } else {
-                    vsa.functionalize()
-                };
-                Arc::new(EVsa::from_functional(&f))
-            })
-            .collect();
-        Fleet::compile_evsas(evsas, engine, config)
-    }
-
-    /// Compiles a fleet from already-normalized automata.
-    pub fn compile_evsas(evsas: Vec<Arc<EVsa>>, engine: Engine, config: DenseConfig) -> Fleet {
+    /// Compiles a fleet from VSet-automata (block normal form per
+    /// member, as for a single spanner), sharing one byte partition and
+    /// one needle scanner across the fleet. Called by
+    /// [`crate::CompileOptions::compile_fleet`].
+    pub(crate) fn build(vsas: &[Vsa], engine: Engine, config: DenseConfig) -> Fleet {
+        let evsas: Vec<Arc<EVsa>> = vsas.iter().map(|v| Arc::new(EVsa::from_vsa(v))).collect();
         // The shared partition: coarsest common refinement of every
         // member's transition masks. Refining a refinement stays a
         // refinement, so each member's dense tables are exact over it.
@@ -444,9 +422,14 @@ impl SegmentEval for Fleet {
 
 /// Streaming fused corpus executor: the fleet-wide analogue of
 /// [`crate::CorpusRunner`] and the same pipeline — one splitter pass,
-/// one bounded queue, one worker pool, N spanners. Reuses
-/// [`CorpusRunnerConfig`] (`workers`, `batch_bytes`, `queue_depth`,
-/// `chunk_bytes` mean exactly what they mean there).
+/// one bounded queue, one worker pool, N spanners. Built by
+/// [`crate::RunnerOptions::fleet_runner`], whose tuning means exactly
+/// what it means for a corpus runner. As with [`crate::CorpusRunner`],
+/// results equal whole-document evaluation exactly when each member is
+/// certified split-correct for the splitter; the runner computes each
+/// `P_S ∘ S` faithfully either way. With a segment cache attached, each
+/// surviving `(segment, member)` dispatch is answered from the cache
+/// when that content was already evaluated under that member.
 #[derive(Debug)]
 pub struct FleetRunner {
     pub(crate) fleet: Arc<Fleet>,
@@ -454,32 +437,6 @@ pub struct FleetRunner {
 }
 
 impl FleetRunner {
-    /// Creates a runner evaluating `fleet` over the segments produced by
-    /// `splitter`, on per-run spawned workers. As with
-    /// [`crate::CorpusRunner`], results equal whole-document evaluation
-    /// exactly when each member is certified split-correct for the
-    /// splitter; the runner computes each `P_S ∘ S` faithfully either
-    /// way.
-    pub fn new(
-        fleet: Arc<Fleet>,
-        splitter: CompiledSplitter,
-        config: CorpusRunnerConfig,
-    ) -> FleetRunner {
-        crate::RunnerOptions::new()
-            .config(config)
-            .fleet_runner(fleet, splitter)
-    }
-
-    /// Attaches a shared [`SegmentCache`]: each surviving
-    /// `(segment, member)` dispatch is answered from the cache when the
-    /// segment content was already evaluated under that member. Results
-    /// are byte-identical with or without a cache (see
-    /// [`crate::CorpusRunner::with_segment_cache`]).
-    pub fn with_segment_cache(mut self, cache: Arc<SegmentCache>) -> FleetRunner {
-        self.pipeline.segment_cache = Some(cache);
-        self
-    }
-
     /// The runner's configuration.
     pub fn config(&self) -> &CorpusRunnerConfig {
         &self.pipeline.config
@@ -560,8 +517,7 @@ impl FleetRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::corpus::CorpusRunner;
-    use crate::{EvalPool, RunnerOptions};
+    use crate::{CompileOptions, EvalPool, RunnerOptions};
     use splitc_spanner::rgx::Rgx;
     use splitc_spanner::splitter;
 
@@ -570,7 +526,8 @@ mod tests {
     }
 
     fn fleet_of(pats: &[&str], engine: Engine) -> Fleet {
-        Fleet::compile(&pats.iter().map(|p| vsa(p)).collect::<Vec<_>>(), engine)
+        let vsas: Vec<Vsa> = pats.iter().map(|p| vsa(p)).collect();
+        CompileOptions::new().engine(engine).compile_fleet(&vsas)
     }
 
     fn docs() -> Vec<Vec<u8>> {
@@ -607,22 +564,18 @@ mod tests {
     fn runner_matches_sequential_corpus_runners() {
         let owned = docs();
         let refs: Vec<&[u8]> = owned.iter().map(Vec::as_slice).collect();
-        let config = CorpusRunnerConfig {
-            workers: 3,
-            batch_bytes: 4,
-            queue_depth: 2,
-            chunk_bytes: 3,
-        };
         for engine in [Engine::Nfa, Engine::Dense, Engine::Prefilter, Engine::Aot] {
             let fleet = Arc::new(fleet_of(&PATS, engine));
-            let runner = FleetRunner::new(fleet.clone(), splitter::sentences().compile(), config);
-            let got = runner.run_slices(&refs);
+            let got = RunnerOptions::tiny()
+                .fleet_runner(fleet.clone(), splitter::sentences().compile())
+                .run_slices(&refs);
             assert_eq!(got.stats.docs, refs.len());
             for (mi, pat) in PATS.iter().enumerate() {
-                let seq = CorpusRunner::new(
-                    crate::ExecSpanner::compile_with(&vsa(pat), engine),
+                let seq = RunnerOptions::tiny().corpus_runner(
+                    CompileOptions::new()
+                        .engine(engine)
+                        .compile_spanner(&vsa(pat)),
                     splitter::sentences().compile(),
-                    config,
                 );
                 let expected = seq.run_slices(&refs);
                 for (di, rel) in expected.relations.iter().enumerate() {
@@ -648,11 +601,8 @@ mod tests {
             Engine::Prefilter,
         ));
         assert!(fleet.num_needles() >= 2, "keywords should enroll needles");
-        let runner = FleetRunner::new(
-            fleet.clone(),
-            splitter::sentences().compile(),
-            CorpusRunnerConfig::default(),
-        );
+        let runner =
+            RunnerOptions::new().fleet_runner(fleet.clone(), splitter::sentences().compile());
         let got = runner.run_slices(&refs);
         let all_pairs = (got.stats.segments * fleet.num_members()) as u64;
         assert!(
@@ -676,13 +626,9 @@ mod tests {
     fn empty_fleet_short_circuits() {
         let owned = docs();
         let refs: Vec<&[u8]> = owned.iter().map(Vec::as_slice).collect();
-        let fleet = Arc::new(Fleet::compile(&[], Engine::Dense));
+        let fleet = Arc::new(CompileOptions::new().compile_fleet(&[]));
         assert_eq!(fleet.num_members(), 0);
-        let runner = FleetRunner::new(
-            fleet,
-            splitter::sentences().compile(),
-            CorpusRunnerConfig::default(),
-        );
+        let runner = RunnerOptions::new().fleet_runner(fleet, splitter::sentences().compile());
         let got = runner.run_slices(&refs);
         assert_eq!(got.stats.docs, refs.len());
         assert_eq!(got.stats.segments, 0, "no splitting work for empty fleets");
@@ -693,11 +639,7 @@ mod tests {
     #[test]
     fn empty_corpus() {
         let fleet = Arc::new(fleet_of(&PATS, Engine::Dense));
-        let runner = FleetRunner::new(
-            fleet,
-            splitter::sentences().compile(),
-            CorpusRunnerConfig::default(),
-        );
+        let runner = RunnerOptions::new().fleet_runner(fleet, splitter::sentences().compile());
         let got = runner.run_slices(&[]);
         assert!(got.relations.is_empty());
         assert_eq!(got.stats.docs, 0);
@@ -745,19 +687,13 @@ mod tests {
     fn pooled_fleet_runner_matches_spawned() {
         let owned = docs();
         let refs: Vec<&[u8]> = owned.iter().map(Vec::as_slice).collect();
-        let config = CorpusRunnerConfig {
-            workers: 3,
-            batch_bytes: 4,
-            queue_depth: 2,
-            chunk_bytes: 3,
-        };
         let fleet = Arc::new(fleet_of(&PATS, Engine::Prefilter));
-        let spawned = FleetRunner::new(fleet.clone(), splitter::sentences().compile(), config)
+        let spawned = RunnerOptions::tiny()
+            .fleet_runner(fleet.clone(), splitter::sentences().compile())
             .run_slices(&refs);
         let pool = Arc::new(EvalPool::new(2));
         for _request in 0..3 {
-            let pooled = RunnerOptions::new()
-                .config(config)
+            let pooled = RunnerOptions::tiny()
                 .pool(pool.clone())
                 .fleet_runner(fleet.clone(), splitter::sentences().compile())
                 .run_slices(&refs);

@@ -574,9 +574,8 @@ fn split_recording_syncs(splitter: &CompiledSplitter, bytes: &[u8]) -> (Vec<Span
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::corpus::CorpusRunnerConfig;
-    use crate::engine::ExecSpanner;
     use crate::segcache::SegmentCache;
+    use crate::{CompileOptions, RunnerOptions};
     use splitc_spanner::rgx::Rgx;
     use splitc_spanner::splitter::{self, Splitter};
     use std::sync::Arc;
@@ -678,22 +677,14 @@ mod tests {
     #[test]
     fn extract_matches_full_rescan_and_hits_cache() {
         let pat = Rgx::parse(".*x{a+}.*").unwrap().to_vsa().unwrap();
-        let spanner = ExecSpanner::compile(&pat);
+        let spanner = CompileOptions::new().compile_spanner(&pat);
         let cache = Arc::new(SegmentCache::new(1 << 14));
-        let runner = CorpusRunner::new(
-            spanner.clone(),
-            splitter::sentences().compile(),
-            CorpusRunnerConfig {
-                workers: 2,
-                ..Default::default()
-            },
-        )
-        .with_segment_cache(cache.clone());
-        let full_runner = CorpusRunner::new(
-            spanner,
-            splitter::sentences().compile(),
-            CorpusRunnerConfig::default(),
-        );
+        let runner = RunnerOptions::new()
+            .workers(2)
+            .segment_cache(cache.clone())
+            .corpus_runner(spanner.clone(), splitter::sentences().compile());
+        let full_runner =
+            RunnerOptions::new().corpus_runner(spanner, splitter::sentences().compile());
 
         let shard: Vec<u8> = (0..200)
             .map(|i| format!("words aa{i} here. "))
@@ -723,14 +714,13 @@ mod tests {
     #[test]
     fn extract_memo_reuses_clean_shards() {
         let pat = Rgx::parse(".*x{a+}.*").unwrap().to_vsa().unwrap();
-        let spanner = ExecSpanner::compile(&pat);
         let cache = Arc::new(SegmentCache::new(1 << 14));
-        let runner = CorpusRunner::new(
-            spanner,
-            splitter::sentences().compile(),
-            CorpusRunnerConfig::default(),
-        )
-        .with_segment_cache(cache.clone());
+        let runner = RunnerOptions::new()
+            .segment_cache(cache.clone())
+            .corpus_runner(
+                CompileOptions::new().compile_spanner(&pat),
+                splitter::sentences().compile(),
+            );
         let shards: Vec<Vec<u8>> = (0..4)
             .map(|s| {
                 (0..50)
@@ -763,21 +753,21 @@ mod tests {
         assert_ne!(third.relations[0], cold.relations[0]);
 
         // The full rescan still matches — the memo is speed-only.
-        let full = CorpusRunner::new(
-            ExecSpanner::compile(&pat),
-            splitter::sentences().compile(),
-            CorpusRunnerConfig::default(),
-        )
-        .run_presplit(h.presplit_docs());
+        let full = RunnerOptions::new()
+            .corpus_runner(
+                CompileOptions::new().compile_spanner(&pat),
+                splitter::sentences().compile(),
+            )
+            .run_presplit(h.presplit_docs());
         assert_eq!(third.relations, full.relations);
     }
 
     #[test]
     fn single_segment_edit_reuses_other_segments() {
         let pat = Rgx::parse(".*x{a+}.*").unwrap().to_vsa().unwrap();
-        let spanner = ExecSpanner::compile(&pat);
+        let spanner = CompileOptions::new().compile_spanner(&pat);
         let cache = Arc::new(SegmentCache::new(64));
-        let runner = crate::RunnerOptions::new()
+        let runner = RunnerOptions::new()
             .segment_cache(cache.clone())
             .corpus_runner(spanner.clone(), splitter::sentences().compile());
         let mut h = handle_of(&[b"aaa bb. cc aa. dd a"]);

@@ -1,34 +1,24 @@
 //! One front door for engine and runner construction.
 //!
-//! The execution layer grew one entry point per knob combination —
-//! `ExecSpanner::{compile, compile_with, compile_with_config}`,
-//! `Fleet::{compile, compile_with, compile_evsas}`, and
-//! `{Corpus,Fleet}Runner::new` plus per-runner pool and cache
-//! modifiers — which composed badly (a caller wanting "AOT spanner +
-//! starved dense cache + shared pool + segment cache" had to know four
-//! different signatures). This module collapses them behind two
-//! builders:
-//!
-//! * [`CompileOptions`] — *what to compile*: the engine request, the
-//!   dense-engine budget and skip-loop, and an optional shared byte
-//!   partition. One options value compiles spanners and fleets
-//!   consistently; splitters have a single engine (the streaming phase
-//!   DFAs of [`Splitter::compile`]), which the options do not change.
+//! * [`CompileOptions`] — *what to compile*: the engine request and the
+//!   dense-engine configuration. One options value compiles spanners
+//!   and fleets consistently; splitters have a single engine (the
+//!   streaming phase DFAs of [`Splitter::compile`]), which the options
+//!   do not change.
 //! * [`RunnerOptions`] — *how to run*: worker/batch/queue/chunk tuning,
 //!   an optional shared [`EvalPool`], and an optional shared
 //!   [`SegmentCache`]. One options value constructs both runner kinds.
 //!
-//! The legacy entry points remain as thin delegating wrappers, so
-//! existing callers (and the benchmark fleet) are untouched.
-//!
 //! ```
 //! use splitc_exec::{CompileOptions, RunnerOptions, Engine};
+//! use splitc_spanner::dense::DenseConfig;
 //! use splitc_spanner::{rgx::Rgx, splitter};
 //!
 //! let vsa = Rgx::parse(".*x{a+}.*").unwrap().to_vsa().unwrap();
-//! let opts = CompileOptions::new().engine(Engine::Prefilter).skip_loop(true);
+//! let dense = DenseConfig { skip_loop: true, ..DenseConfig::default() };
+//! let opts = CompileOptions::new().engine(Engine::Prefilter).dense(dense);
 //! let spanner = opts.compile_spanner(&vsa);
-//! let split = opts.compile_splitter(&splitter::sentences());
+//! let split = splitter::sentences().compile();
 //! let runner = RunnerOptions::new().workers(2).corpus_runner(spanner, split);
 //! let out = runner.run_slices(&[b"aa b. aaa"]);
 //! assert_eq!(out.relations.len(), 1);
@@ -39,7 +29,6 @@ use crate::engine::{Engine, ExecSpanner};
 use crate::fleet::{Fleet, FleetRunner};
 use crate::pool::EvalPool;
 use crate::segcache::SegmentCache;
-use splitc_automata::classes::ByteClasses;
 use splitc_spanner::dense::DenseConfig;
 use splitc_spanner::evsa::EVsa;
 use splitc_spanner::splitter::{CompiledSplitter, Splitter};
@@ -47,19 +36,16 @@ use splitc_spanner::vsa::Vsa;
 use std::sync::Arc;
 
 /// Builder for every compile-time choice of the execution layer: which
-/// engine tier to request, how the dense tier is budgeted, and whether
-/// to index tables by an externally shared byte partition. See the
-/// [module docs](self) for the sprawl this replaces.
+/// engine tier to request and how the dense tier is budgeted.
 #[derive(Debug, Clone, Default)]
 pub struct CompileOptions {
     engine: Engine,
     dense: DenseConfig,
-    classes: Option<ByteClasses>,
 }
 
 impl CompileOptions {
     /// Default options: [`Engine::Dense`] with the default
-    /// [`DenseConfig`], no shared partition.
+    /// [`DenseConfig`].
     pub fn new() -> CompileOptions {
         CompileOptions::default()
     }
@@ -71,66 +57,24 @@ impl CompileOptions {
         self
     }
 
-    /// Replaces the whole dense-engine configuration at once.
+    /// The dense-engine configuration (lazy-DFA cache bound, skip-loop),
+    /// applied to whichever tier actually compiles.
     pub fn dense(mut self, config: DenseConfig) -> CompileOptions {
         self.dense = config;
         self
     }
 
-    /// Bounds the lazy-DFA cache (states) of the dense tier — the knob
-    /// the differential harnesses turn to starve caches.
-    pub fn max_cache_states(mut self, states: usize) -> CompileOptions {
-        self.dense.max_cache_states = states;
-        self
-    }
-
-    /// Enables the SWAR skip-loop over dense self-loop states.
-    pub fn skip_loop(mut self, on: bool) -> CompileOptions {
-        self.dense.skip_loop = on;
-        self
-    }
-
-    /// Indexes dense tables by an externally shared byte partition
-    /// (e.g. one computed across a fleet) instead of the automaton's own
-    /// classes. Applies to single-spanner compiles; [`Fleet`] compiles
-    /// always compute their members' common refinement themselves.
-    pub fn shared_classes(mut self, classes: ByteClasses) -> CompileOptions {
-        self.classes = Some(classes);
-        self
-    }
-
-    /// The requested engine.
-    pub fn requested_engine(&self) -> Engine {
-        self.engine
-    }
-
-    /// The dense-engine configuration.
-    pub fn dense_config(&self) -> DenseConfig {
-        self.dense
-    }
-
-    /// Compiles one spanner (functionalization + block normal form +
-    /// the requested engine tier). Subsumes `ExecSpanner::compile`,
-    /// `compile_with`, and `compile_with_config`.
+    /// Compiles one spanner: block normal form ([`EVsa::from_vsa`]) plus
+    /// the requested engine tier.
     pub fn compile_spanner(&self, vsa: &Vsa) -> ExecSpanner {
-        let f = if vsa.is_functional() {
-            vsa.trim()
-        } else {
-            vsa.functionalize()
-        };
-        self.compile_evsa(Arc::new(EVsa::from_functional(&f)))
+        ExecSpanner::from_evsa(Arc::new(EVsa::from_vsa(vsa)), self.engine, None, self.dense)
     }
 
-    /// Compiles a spanner from an already-normalized automaton.
-    pub fn compile_evsa(&self, evsa: Arc<EVsa>) -> ExecSpanner {
-        ExecSpanner::from_evsa(evsa, self.engine, self.classes.clone(), self.dense)
-    }
-
-    /// Compiles a fleet for fused evaluation. The fleet computes the
-    /// coarsest common refinement of its members itself, so any
-    /// [`CompileOptions::shared_classes`] setting is ignored here.
+    /// Compiles a fleet for fused evaluation: every member on the
+    /// requested engine, over one shared byte partition and one needle
+    /// scanner.
     pub fn compile_fleet(&self, vsas: &[Vsa]) -> Fleet {
-        Fleet::compile_with(vsas, self.engine, self.dense)
+        Fleet::build(vsas, self.engine, self.dense)
     }
 
     /// Compiles a splitter. Splitters run on one engine whatever the
@@ -143,9 +87,8 @@ impl CompileOptions {
 
 /// Builder for runner construction: pipeline tuning plus the two shared
 /// resources (worker pool, segment cache) a service threads through
-/// every request. Both runners are built here: `{Corpus,Fleet}Runner::new`
-/// delegate to it, and it is the only way to put a runner on a shared
-/// [`EvalPool`].
+/// every request. It is the only way to build a [`CorpusRunner`] or a
+/// [`FleetRunner`].
 #[derive(Debug, Clone, Default)]
 pub struct RunnerOptions {
     config: CorpusRunnerConfig,
@@ -158,12 +101,6 @@ impl RunnerOptions {
     /// workers, no segment cache.
     pub fn new() -> RunnerOptions {
         RunnerOptions::default()
-    }
-
-    /// Replaces the whole pipeline configuration at once.
-    pub fn config(mut self, config: CorpusRunnerConfig) -> RunnerOptions {
-        self.config = config;
-        self
     }
 
     /// Evaluation worker threads (see [`CorpusRunnerConfig::workers`]).
@@ -200,16 +137,14 @@ impl RunnerOptions {
         self
     }
 
-    /// Attaches a shared content-addressed segment cache (see
-    /// [`SegmentCache`]); results are byte-identical with or without.
+    /// Attaches a shared content-addressed [`SegmentCache`]: workers look
+    /// each segment up by content before dispatching the engine, so
+    /// repeated segments — across documents, runs, and (for a
+    /// process-wide cache) requests — are answered without
+    /// re-evaluation. Results are byte-identical with or without.
     pub fn segment_cache(mut self, cache: Arc<SegmentCache>) -> RunnerOptions {
         self.segment_cache = Some(cache);
         self
-    }
-
-    /// The pipeline configuration.
-    pub fn runner_config(&self) -> CorpusRunnerConfig {
-        self.config
     }
 
     /// The shared pipeline both runner kinds own. Shared resources are
@@ -223,7 +158,11 @@ impl RunnerOptions {
         }
     }
 
-    /// Constructs a [`CorpusRunner`] with these options.
+    /// Constructs a [`CorpusRunner`] evaluating `spanner` over the
+    /// segments `splitter` produces. For results equal to
+    /// whole-document evaluation the pair must be certified
+    /// split-correct; the runner computes `P_S ∘ S` faithfully either
+    /// way.
     pub fn corpus_runner(&self, spanner: ExecSpanner, splitter: CompiledSplitter) -> CorpusRunner {
         CorpusRunner {
             spanner: Arc::new(spanner),
@@ -241,8 +180,23 @@ impl RunnerOptions {
 }
 
 #[cfg(test)]
+impl RunnerOptions {
+    /// Three workers over tiny batches, queue and chunks, so every test
+    /// run crosses many batch and chunk boundaries.
+    pub(crate) fn tiny() -> RunnerOptions {
+        RunnerOptions::new()
+            .workers(3)
+            .batch_bytes(4)
+            .queue_depth(2)
+            .chunk_bytes(3)
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{evaluate_many_split, SplitFn};
+    use splitc_spanner::eval::eval_evsa;
     use splitc_spanner::rgx::Rgx;
     use splitc_spanner::splitter;
 
@@ -250,41 +204,62 @@ mod tests {
         Rgx::parse(pat).unwrap().to_vsa().unwrap()
     }
 
+    /// Sentence splitting by the reference evaluator.
+    fn reference_split() -> SplitFn {
+        let s = splitter::sentences();
+        Arc::new(move |doc: &[u8]| s.split(doc))
+    }
+
     #[test]
-    fn options_match_legacy_entry_points() {
+    fn compile_spanner_matches_reference_per_engine() {
         let v = vsa(".*x{a+}.*");
+        let reference = EVsa::from_vsa(&v);
+        let nfa = CompileOptions::new()
+            .engine(Engine::Nfa)
+            .compile_spanner(&v);
         let docs: Vec<&[u8]> = vec![b"aa bb. aaa. b aa", b"", b"a.a.a."];
         for engine in [Engine::Nfa, Engine::Dense, Engine::Prefilter, Engine::Aot] {
-            let via_options = CompileOptions::new().engine(engine).compile_spanner(&v);
-            let legacy = ExecSpanner::compile_with(&v, engine);
-            assert_eq!(via_options.engine(), legacy.engine());
-            assert_eq!(via_options.tier(), legacy.tier());
+            let sp = CompileOptions::new().engine(engine).compile_spanner(&v);
+            assert_eq!(sp.engine(), engine);
+            assert_eq!(sp.tier(), engine, "a small spanner fits every tier");
             for d in &docs {
-                assert_eq!(via_options.eval(d), legacy.eval(d), "{engine:?}");
+                assert_eq!(sp.eval(d), eval_evsa(&reference, d), "{engine:?}");
+                assert_eq!(sp.eval(d), nfa.eval(d), "{engine:?}");
             }
         }
+        assert_eq!(
+            CompileOptions::new().compile_spanner(&v).engine(),
+            Engine::Dense
+        );
     }
 
     #[test]
     fn dense_knobs_apply() {
-        let opts = CompileOptions::new().max_cache_states(3).skip_loop(true);
-        assert_eq!(opts.dense_config().max_cache_states, 3);
-        assert!(opts.dense_config().skip_loop);
+        let starved = DenseConfig {
+            max_cache_states: 3,
+            skip_loop: true,
+        };
+        let opts = CompileOptions::new().dense(starved);
+        assert_eq!(opts.dense.max_cache_states, 3);
+        assert!(opts.dense.skip_loop);
         // A starved cache still evaluates exactly.
-        let sp = opts.compile_spanner(&vsa(".*x{a+}.*"));
-        let full = ExecSpanner::compile(&vsa(".*x{a+}.*"));
-        assert_eq!(sp.eval(b"aa b aaa"), full.eval(b"aa b aaa"));
+        let v = vsa(".*x{a+}.*");
+        let sp = opts.compile_spanner(&v);
+        assert_eq!(
+            sp.eval(b"aa b aaa"),
+            eval_evsa(&EVsa::from_vsa(&v), b"aa b aaa")
+        );
     }
 
     #[test]
-    fn runner_options_build_equivalent_runners() {
+    fn runner_options_match_evaluate_many_split() {
         let docs: Vec<&[u8]> = vec![b"aa bb. aaa. b aa", b"", b"a.a.a."];
-        let legacy = CorpusRunner::new(
-            ExecSpanner::compile(&vsa(".*x{a+}.*")),
-            splitter::sentences().compile(),
-            CorpusRunnerConfig::default(),
-        )
-        .run_slices(&docs);
+        let expected = evaluate_many_split(
+            &CompileOptions::new().compile_spanner(&vsa(".*x{a+}.*")),
+            &reference_split(),
+            &docs,
+            1,
+        );
         let pool = Arc::new(EvalPool::new(2));
         let cache = Arc::new(SegmentCache::new(128));
         let opts = RunnerOptions::new()
@@ -297,9 +272,9 @@ mod tests {
         for _ in 0..2 {
             let runner = opts.corpus_runner(
                 CompileOptions::new().compile_spanner(&vsa(".*x{a+}.*")),
-                CompileOptions::new().compile_splitter(&splitter::sentences()),
+                splitter::sentences().compile(),
             );
-            assert_eq!(runner.run_slices(&docs).relations, legacy.relations);
+            assert_eq!(runner.run_slices(&docs).relations, expected);
         }
         assert!(pool.stats().submitted > 0, "pool was used");
         assert!(cache.stats().misses > 0, "cache was populated");
@@ -308,11 +283,8 @@ mod tests {
         let shared = CompileOptions::new().compile_spanner(&vsa(".*x{a+}.*"));
         cache.reset_stats();
         for _ in 0..2 {
-            let runner = opts.corpus_runner(
-                shared.clone(),
-                CompileOptions::new().compile_splitter(&splitter::sentences()),
-            );
-            assert_eq!(runner.run_slices(&docs).relations, legacy.relations);
+            let runner = opts.corpus_runner(shared.clone(), splitter::sentences().compile());
+            assert_eq!(runner.run_slices(&docs).relations, expected);
         }
         let s = cache.stats();
         assert!(s.hits > 0, "second run over a shared spanner hits: {s:?}");
@@ -320,26 +292,25 @@ mod tests {
 
     #[test]
     fn fleet_runner_via_options() {
-        let pats = [".*x{a+}.*", "x{[0-9]+}"];
+        let pats = [".*x{a+}.*", "x{[0-9]+}", ".*x{[0-9]+}.*"];
         let vsas: Vec<Vsa> = pats.iter().map(|p| vsa(p)).collect();
-        let docs: Vec<&[u8]> = vec![b"aa 42. bbb 7 aa", b""];
-        let opts = CompileOptions::new().engine(Engine::Prefilter);
-        let fleet = Arc::new(opts.compile_fleet(&vsas));
+        let docs: Vec<&[u8]> = vec![b"aa 42. bbb 7 aa", b"", b"9.a1"];
+        let fleet = Arc::new(
+            CompileOptions::new()
+                .engine(Engine::Prefilter)
+                .compile_fleet(&vsas),
+        );
         let got = RunnerOptions::new()
             .workers(2)
             .segment_cache(Arc::new(SegmentCache::new(64)))
-            .fleet_runner(fleet.clone(), opts.compile_splitter(&splitter::sentences()))
+            .fleet_runner(fleet.clone(), splitter::sentences().compile())
             .run_slices(&docs);
-        let legacy = FleetRunner::new(
-            Arc::new(Fleet::compile_with(
-                &vsas,
-                Engine::Prefilter,
-                DenseConfig::default(),
-            )),
-            splitter::sentences().compile(),
-            CorpusRunnerConfig::default(),
-        )
-        .run_slices(&docs);
-        assert_eq!(got.relations, legacy.relations);
+        let split = reference_split();
+        for (i, pat) in pats.iter().enumerate() {
+            let member = evaluate_many_split(fleet.member(i), &split, &docs, 1);
+            for (d, rel) in member.into_iter().enumerate() {
+                assert_eq!(got.relations[d][i], rel, "{pat} on doc {d}");
+            }
+        }
     }
 }

@@ -10,9 +10,9 @@
 //!    splitter on the same corpus, for every engine, worker count
 //!    (including the normalized `0`), batch size and queue depth.
 
-use crate::corpus::{CorpusRunner, CorpusRunnerConfig};
 use crate::engine::{evaluate_many_split, Engine, ExecSpanner, SplitFn};
 use crate::stream::StreamingSplitter;
+use crate::{CompileOptions, RunnerOptions};
 use proptest::prelude::*;
 use splitc_spanner::rgx::Rgx;
 use splitc_spanner::splitter::{self, Splitter};
@@ -113,18 +113,10 @@ proptest! {
         // to 1-byte streaming chunks.
         let engine = pick_engine(engine_pick);
         let vsa = Rgx::parse(PATTERNS[pi]).unwrap().to_vsa().unwrap();
-        let spanner = ExecSpanner::compile_with(&vsa, engine);
+        let spanner = compile(&vsa, engine);
         let s = splitter::sentences();
-        let runner = CorpusRunner::new(
-            spanner.clone(),
-            s.compile(),
-            CorpusRunnerConfig {
-                workers,
-                batch_bytes,
-                queue_depth: 2,
-                chunk_bytes,
-            },
-        );
+        let opts = runner_opts(workers, batch_bytes, chunk_bytes);
+        let runner = opts.corpus_runner(spanner.clone(), s.compile());
         let refs: Vec<&[u8]> = docs.iter().map(Vec::as_slice).collect();
         let got = runner.run_slices(&refs);
         // The reference evaluator, independent of the streaming tables.
@@ -149,11 +141,29 @@ proptest! {
 //    automaton — permuting, duplicating, or partitioning the fleet
 //    never changes any member's output.
 
-use crate::fleet::{Fleet, FleetRunner};
+use crate::fleet::Fleet;
 use splitc_spanner::dense::DenseConfig;
 use splitc_spanner::vsa::Vsa;
 use splitc_textgen::spangen::{rand_fleet, Mix};
 use std::sync::Arc;
+
+fn compile(vsa: &Vsa, engine: Engine) -> ExecSpanner {
+    CompileOptions::new().engine(engine).compile_spanner(vsa)
+}
+
+fn fleet_of(vsas: &[Vsa], engine: Engine) -> Fleet {
+    CompileOptions::new().engine(engine).compile_fleet(vsas)
+}
+
+/// Runner options with a two-batch queue, the shape every suite here
+/// runs under.
+fn runner_opts(workers: usize, batch_bytes: usize, chunk_bytes: usize) -> RunnerOptions {
+    RunnerOptions::new()
+        .workers(workers)
+        .batch_bytes(batch_bytes)
+        .queue_depth(2)
+        .chunk_bytes(chunk_bytes)
+}
 
 fn pick_engine(pick: usize) -> Engine {
     match pick % 4 {
@@ -185,29 +195,25 @@ proptest! {
         let starve = starve_pick == 1;
         let engine = pick_engine(engine_pick);
         let vsas = rand_fleet(seed, n);
-        let config = CorpusRunnerConfig {
-            workers,
-            batch_bytes: 16,
-            queue_depth: 2,
-            chunk_bytes,
-        };
+        let opts = runner_opts(workers, 16, chunk_bytes);
         // A 2-state cache bound starves the lazy DFA into its exact
         // NFA-fallback path mid-corpus; results must not move.
         let dense = DenseConfig {
             max_cache_states: if starve { 2 } else { 8192 },
             skip_loop: false,
         };
-        let fleet = Arc::new(Fleet::compile_with(&vsas, engine, dense));
-        let runner = FleetRunner::new(fleet, splitter::sentences().compile(), config);
+        let fleet = Arc::new(
+            CompileOptions::new()
+                .engine(engine)
+                .dense(dense)
+                .compile_fleet(&vsas),
+        );
+        let runner = opts.fleet_runner(fleet, splitter::sentences().compile());
         let refs: Vec<&[u8]> = docs.iter().map(Vec::as_slice).collect();
         let got = runner.run_slices(&refs);
         prop_assert_eq!(got.stats.docs, refs.len());
         for (mi, vsa) in vsas.iter().enumerate() {
-            let seq = CorpusRunner::new(
-                ExecSpanner::compile_with(vsa, engine),
-                splitter::sentences().compile(),
-                config,
-            );
+            let seq = opts.corpus_runner(compile(vsa, engine), splitter::sentences().compile());
             let expected = seq.run_slices(&refs);
             for (di, rel) in expected.relations.iter().enumerate() {
                 prop_assert_eq!(
@@ -238,8 +244,8 @@ proptest! {
             order.swap(i, rng.below(i as u64 + 1) as usize);
         }
         let permuted: Vec<Vsa> = order.iter().map(|&i| vsas[i].clone()).collect();
-        let fleet = Fleet::compile(&vsas, engine);
-        let pfleet = Fleet::compile(&permuted, engine);
+        let fleet = fleet_of(&vsas, engine);
+        let pfleet = fleet_of(&permuted, engine);
         for doc in &docs {
             let base = fleet.eval(doc);
             let perm = pfleet.eval(doc);
@@ -266,8 +272,8 @@ proptest! {
         let k = (k_pick % n as u64) as usize;
         let mut dup = vsas.clone();
         dup.push(vsas[k].clone());
-        let fleet = Fleet::compile(&vsas, engine);
-        let dfleet = Fleet::compile(&dup, engine);
+        let fleet = fleet_of(&vsas, engine);
+        let dfleet = fleet_of(&dup, engine);
         for doc in &docs {
             let base = fleet.eval(doc);
             let with_dup = dfleet.eval(doc);
@@ -292,9 +298,9 @@ proptest! {
         let engine = pick_engine(engine_pick);
         let vsas = rand_fleet(seed, n);
         let cut = 1 + (cut_pick % (n as u64 - 1)) as usize;
-        let fleet = Fleet::compile(&vsas, engine);
-        let left = Fleet::compile(&vsas[..cut], engine);
-        let right = Fleet::compile(&vsas[cut..], engine);
+        let fleet = fleet_of(&vsas, engine);
+        let left = fleet_of(&vsas[..cut], engine);
+        let right = fleet_of(&vsas[cut..], engine);
         for doc in &docs {
             let full = fleet.eval(doc);
             let mut parts = left.eval(doc);
@@ -411,18 +417,15 @@ proptest! {
         let compiled = pool[si].compile();
         let engine = pick_engine(engine_pick);
         let vsa = Rgx::parse(PATTERNS[pi]).unwrap().to_vsa().unwrap();
-        let spanner = ExecSpanner::compile_with(&vsa, engine);
-        let config = CorpusRunnerConfig {
-            workers: 2,
-            batch_bytes: 16,
-            queue_depth: 2,
-            chunk_bytes,
-        };
+        let spanner = compile(&vsa, engine);
+        let opts = runner_opts(2, 16, chunk_bytes);
         // Capacity 2: far below the working set, so the FIFO evicts on
         // nearly every insertion — results must not move.
         let cache = Arc::new(SegmentCache::new(2));
-        let runner = CorpusRunner::new(spanner.clone(), compiled.clone(), config)
-            .with_segment_cache(cache);
+        let runner = opts
+            .clone()
+            .segment_cache(cache)
+            .corpus_runner(spanner.clone(), compiled.clone());
         let mut handle = CorpusHandle::from_shards(compiled.clone(), shards.clone());
         let mut shadow = shards.clone();
         for (step, op) in script.iter().enumerate() {
@@ -438,7 +441,7 @@ proptest! {
             }
             let incremental = handle.extract(&runner);
             let refs: Vec<&[u8]> = shadow.iter().map(Vec::as_slice).collect();
-            let fresh = CorpusRunner::new(spanner.clone(), compiled.clone(), config);
+            let fresh = opts.corpus_runner(spanner.clone(), compiled.clone());
             let expected = fresh.run_slices(&refs);
             prop_assert_eq!(
                 incremental.relations,
@@ -463,23 +466,20 @@ proptest! {
         let compiled = splitter::sentences().compile();
         let engine = pick_engine(engine_pick);
         let vsas = rand_fleet(seed, n);
-        let fleet = Arc::new(Fleet::compile(&vsas, engine));
-        let config = CorpusRunnerConfig {
-            workers: 2,
-            batch_bytes: 16,
-            queue_depth: 2,
-            chunk_bytes,
-        };
+        let fleet = Arc::new(fleet_of(&vsas, engine));
+        let opts = runner_opts(2, 16, chunk_bytes);
         let cache = Arc::new(SegmentCache::new(2));
-        let runner = FleetRunner::new(fleet.clone(), compiled.clone(), config)
-            .with_segment_cache(cache);
+        let runner = opts
+            .clone()
+            .segment_cache(cache)
+            .fleet_runner(fleet.clone(), compiled.clone());
         let mut handle = CorpusHandle::from_shards(compiled.clone(), shards.clone());
         let mut shadow = shards.clone();
         for op in &script {
             apply_edit(op, &mut handle, &mut shadow);
             let incremental = handle.extract_fleet(&runner);
             let refs: Vec<&[u8]> = shadow.iter().map(Vec::as_slice).collect();
-            let fresh = FleetRunner::new(fleet.clone(), compiled.clone(), config);
+            let fresh = opts.fleet_runner(fleet.clone(), compiled.clone());
             let expected = fresh.run_slices(&refs);
             prop_assert_eq!(
                 incremental.relations,

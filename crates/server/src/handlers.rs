@@ -42,10 +42,7 @@ use crate::registry::{hex_id, parse_hex_id, valid_corpus_id, CorpusEntry, Regist
 
 use splitc_core::cache::CachedVerdict;
 use splitc_core::Verdict;
-use splitc_exec::{
-    CorpusHandle, CorpusRunner, CorpusRunnerConfig, DeltaStats, Engine, EvalPool, FleetRunner,
-    RunnerOptions, SegmentCache,
-};
+use splitc_exec::{CorpusHandle, DeltaStats, Engine, EvalPool, RunnerOptions, SegmentCache};
 use splitc_spanner::{SpanRelation, VarTable};
 
 use std::sync::Arc;
@@ -913,11 +910,8 @@ pub fn offline_extract(body: &Json) -> Result<Json, String> {
                 .and_then(Json::as_str)
                 .ok_or("\"pattern\" must be a string")?;
             let (spanner, _) = registry.register_spanner(pattern, engine)?;
-            let runner = CorpusRunner::new(
-                spanner.exec.clone(),
-                splitter.compiled.clone(),
-                CorpusRunnerConfig::default(),
-            );
+            let runner =
+                RunnerOptions::new().corpus_runner(spanner.exec.clone(), splitter.compiled.clone());
             let result = runner.run_slices(&doc_slices);
             Ok(Json::obj(vec![(
                 "relations",
@@ -944,11 +938,8 @@ pub fn offline_extract(body: &Json) -> Result<Json, String> {
                 ids.push(entry.id);
             }
             let (fleet, _) = registry.register_fleet(&ids)?;
-            let runner = FleetRunner::new(
-                fleet.fleet.clone(),
-                splitter.compiled.clone(),
-                CorpusRunnerConfig::default(),
-            );
+            let runner =
+                RunnerOptions::new().fleet_runner(fleet.fleet.clone(), splitter.compiled.clone());
             let result = runner.run_slices(&doc_slices);
             Ok(Json::obj(vec![(
                 "relations",

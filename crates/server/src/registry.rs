@@ -14,7 +14,9 @@
 
 use splitc_core::cache::{content_hash, CachedVerdict, CertCache, CertCacheStats};
 use splitc_core::split_correct;
-use splitc_exec::{certify_many, CertifyConfig, CorpusHandle, Engine, ExecSpanner, Fleet};
+use splitc_exec::{
+    certify_many, CertifyConfig, CompileOptions, CorpusHandle, Engine, ExecSpanner, Fleet,
+};
 use splitc_spanner::splitter as splitters;
 use splitc_spanner::splitter::CompiledSplitter;
 use splitc_spanner::{Splitter, Vsa};
@@ -191,7 +193,7 @@ impl Registry {
         // Compile outside the lock; first insert wins on a race.
         let rgx = splitc_spanner::Rgx::parse(pattern).map_err(|e| e.to_string())?;
         let vsa = rgx.to_vsa().map_err(|e| e.to_string())?;
-        let exec = ExecSpanner::compile_with(&vsa, engine);
+        let exec = CompileOptions::new().engine(engine).compile_spanner(&vsa);
         let entry = Arc::new(SpannerEntry {
             id,
             pattern: pattern.to_string(),
@@ -267,7 +269,7 @@ impl Registry {
             vsas.push(member.vsa.clone());
         }
         let engine = engine.expect("non-empty fleet");
-        let fleet = Arc::new(Fleet::compile(&vsas, engine));
+        let fleet = Arc::new(CompileOptions::new().engine(engine).compile_fleet(&vsas));
         let entry = Arc::new(FleetEntry {
             id,
             member_ids: member_ids.to_vec(),

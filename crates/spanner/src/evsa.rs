@@ -79,6 +79,17 @@ impl EVsa {
         out
     }
 
+    /// Converts any VSet-automaton into block normal form: trimmed when
+    /// already functional, functionalized first otherwise. The input of
+    /// every compiled engine, fleet and splitter.
+    pub fn from_vsa(vsa: &Vsa) -> EVsa {
+        if vsa.is_functional() {
+            EVsa::from_functional(&vsa.trim())
+        } else {
+            EVsa::from_functional(&vsa.functionalize())
+        }
+    }
+
     /// Converts a **functional** VSet-automaton (see
     /// [`Vsa::is_functional`]) into block normal form. Operation/ε paths
     /// between byte transitions are collected into blocks; configurations
@@ -484,6 +495,29 @@ mod tests {
         let rel = eval_evsa(&e, b"aab");
         assert_eq!(rel.len(), 1);
         assert_eq!(rel.tuples()[0].get(VarId(0)), Span::new(0, 2));
+    }
+
+    #[test]
+    fn from_vsa_evaluates_like_eval() {
+        use crate::eval::eval;
+        use crate::vars::VarTable;
+        use crate::vsa::Label;
+        let functional = Rgx::parse(".*x{a+}b.*").unwrap().to_vsa().unwrap();
+        // (x{a})*: the start state is final and loops through x, so the
+        // zero-iteration run leaves x unbound (not functional).
+        let mut starred = Vsa::new(VarTable::new(["x"]).unwrap());
+        let (q1, q2) = (starred.add_state(), starred.add_state());
+        starred.set_final(0, true);
+        starred.add_transition(0, Label::Op(VarOp::Open(VarId(0))), q1);
+        starred.add_byte(q1, b'a', q2);
+        starred.add_transition(q2, Label::Op(VarOp::Close(VarId(0))), 0);
+        assert!(functional.is_functional() && !starred.is_functional());
+        for vsa in [functional, starred] {
+            let e = EVsa::from_vsa(&vsa);
+            for d in [b"".as_slice(), b"a", b"aa", b"aab", b"ab ba. aab"] {
+                assert_eq!(eval_evsa(&e, d), eval(&vsa, d), "{d:?}");
+            }
+        }
     }
 
     #[test]

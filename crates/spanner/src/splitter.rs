@@ -78,12 +78,7 @@ impl Splitter {
     /// functionalized first when needed. The input of every compiled form
     /// and of the two-run analyses ([`two_run_report`]).
     pub fn evsa(&self) -> EVsa {
-        let f = if self.vsa.is_functional() {
-            self.vsa.trim()
-        } else {
-            self.vsa.functionalize()
-        };
-        EVsa::from_functional(&f)
+        EVsa::from_vsa(&self.vsa)
     }
 
     /// Compiled splitting for repeated use: the streaming phase DFAs

@@ -32,14 +32,9 @@ fn main() {
     // 3. Stream the corpus through the runner: incremental splitting on
     //    this thread, batched segments over a bounded queue, 4 workers
     //    evaluating with per-worker lazy-DFA caches.
-    let runner = CorpusRunner::new(
-        ExecSpanner::compile(&p),
-        s.compile(),
-        CorpusRunnerConfig {
-            workers: 4,
-            ..Default::default()
-        },
-    );
+    let runner = RunnerOptions::new()
+        .workers(4)
+        .corpus_runner(CompileOptions::new().compile_spanner(&p), s.compile());
     let result = runner.run_streams(textgen::wiki_corpus_shards(shards, &cfg));
     let stats = result.stats;
     let tuples: usize = result.relations.iter().map(|r| r.len()).sum();
@@ -62,7 +57,7 @@ fn main() {
         .map(|sh| sh.flatten().collect())
         .collect();
     let refs: Vec<&[u8]> = owned.iter().map(Vec::as_slice).collect();
-    let spanner = ExecSpanner::compile(&p);
+    let spanner = CompileOptions::new().compile_spanner(&p);
     let split: SplitFn = std::sync::Arc::new(native_splitters::sentences);
     let batch = evaluate_many_split(&spanner, &split, &refs, 4);
     assert_eq!(result.relations, batch, "streaming equals batch semantics");

@@ -73,11 +73,8 @@ fn main() {
         target_bytes: 64 << 10,
         ..Default::default()
     };
-    let runner = CorpusRunner::new(
-        ExecSpanner::compile(p),
-        s.compile(),
-        CorpusRunnerConfig::default(),
-    );
+    let runner =
+        RunnerOptions::new().corpus_runner(CompileOptions::new().compile_spanner(p), s.compile());
     let shards = 4;
     let out = runner.run_streams(textgen::wiki_corpus_shards(shards, &cfg));
     println!(

@@ -48,7 +48,7 @@ fn main() {
     let request_lines = spanners::request_line_extractor();
     assert!(self_splittable(&request_lines, &messages).unwrap().holds());
     let log = textgen::http_log(5_000, 17);
-    let spanner = ExecSpanner::compile(&request_lines);
+    let spanner = CompileOptions::new().compile_spanner(&request_lines);
     let split: SplitFn = Arc::new(native_splitters::paragraphs);
     let seq = evaluate_sequential(&spanner, &log);
     let par = evaluate_split(&spanner, &split, &log, 5);

@@ -41,7 +41,7 @@ fn main() {
     }
 
     // 5. Cash in the certificate: parallel evaluation over sentences.
-    let spanner = ExecSpanner::compile(&p);
+    let spanner = CompileOptions::new().compile_spanner(&p);
     let split: SplitFn = Arc::new(native_splitters::sentences);
     let doc = b"aa bbb aaa. baab. ab aaaa b".repeat(2000);
     let t0 = std::time::Instant::now();

@@ -21,7 +21,7 @@
 //! assert!(self_splittable(&p, &s).unwrap().holds());
 //!
 //! // Evaluate in parallel over sentences — same result, distributed.
-//! let spanner = ExecSpanner::compile(&p);
+//! let spanner = CompileOptions::new().compile_spanner(&p);
 //! let split: SplitFn = std::sync::Arc::new(native_splitters::sentences);
 //! let doc = b"aaa bb. cc aa";
 //! assert_eq!(

@@ -34,7 +34,7 @@ fn certified_workloads_evaluate_identically() {
     for (name, p) in workloads {
         let verdict = self_splittable(&p, &s_formal).unwrap();
         assert!(verdict.holds(), "{name} must be certified splittable");
-        let spanner = ExecSpanner::compile(&p);
+        let spanner = CompileOptions::new().compile_spanner(&p);
         let seq = evaluate_sequential(&spanner, &doc);
         let par = evaluate_split(&spanner, &split, &doc, 3);
         assert_eq!(seq, par, "{name}: distributed evaluation must agree");
@@ -55,7 +55,7 @@ fn uncertified_workload_differs_and_witness_is_executable() {
         panic!("crossing pattern must not be self-splittable");
     };
     // The witness document demonstrates the difference in the engine.
-    let spanner = ExecSpanner::compile(&p);
+    let spanner = CompileOptions::new().compile_spanner(&p);
     let split: SplitFn = Arc::new(native_splitters::sentences);
     let seq = evaluate_sequential(&spanner, &cex.doc);
     let par = evaluate_split(&spanner, &split, &cex.doc, 2);
@@ -105,8 +105,13 @@ fn splittability_witness_runs_on_the_engine() {
     };
     let log = textgen::http_log(40, 5);
     let split: SplitFn = Arc::new(native_splitters::paragraphs);
-    let via_witness = evaluate_split(&ExecSpanner::compile(&witness), &split, &log, 2);
-    let direct = evaluate_sequential(&ExecSpanner::compile(&p), &log);
+    let via_witness = evaluate_split(
+        &CompileOptions::new().compile_spanner(&witness),
+        &split,
+        &log,
+        2,
+    );
+    let direct = evaluate_sequential(&CompileOptions::new().compile_spanner(&p), &log);
     assert_eq!(via_witness, direct);
 }
 
@@ -117,7 +122,7 @@ fn incremental_is_exact_over_edit_series() {
     let p = spanners::entity_extractor();
     let s = splitters::sentences();
     assert!(self_splittable(&p, &s).unwrap().holds());
-    let spanner = ExecSpanner::compile(&p);
+    let spanner = CompileOptions::new().compile_spanner(&p);
     let cache = Arc::new(SegmentCache::new(1 << 16));
     let runner = RunnerOptions::new()
         .segment_cache(cache.clone())

@@ -17,7 +17,7 @@
 //! test below fails compilation until the `match` is updated too).
 
 use proptest::prelude::*;
-use split_correctness::exec::{CorpusRunner, CorpusRunnerConfig, Engine, ExecSpanner, Fleet};
+use split_correctness::exec::{CompileOptions, Engine, ExecSpanner, RunnerOptions};
 use split_correctness::spanner::dense::DenseConfig;
 use split_correctness::spanner::rgx::Rgx;
 use split_correctness::spanner::splitter;
@@ -41,10 +41,17 @@ fn cache_configs() -> [DenseConfig; 2] {
     ]
 }
 
+fn compile(vsa: &Vsa, engine: Engine, config: DenseConfig) -> ExecSpanner {
+    CompileOptions::new()
+        .engine(engine)
+        .dense(config)
+        .compile_spanner(vsa)
+}
+
 fn compile_matrix(vsa: &Vsa, config: DenseConfig) -> Vec<(Engine, ExecSpanner)> {
     ENGINES
         .iter()
-        .map(|&e| (e, ExecSpanner::compile_with_config(vsa, e, config)))
+        .map(|&e| (e, compile(vsa, e, config)))
         .collect()
 }
 
@@ -146,18 +153,16 @@ proptest! {
             .map(|i| spangen::dense_doc(corpus_seed.wrapping_add(i), 32))
             .collect();
         let refs: Vec<&[u8]> = owned.iter().map(Vec::as_slice).collect();
-        let config = CorpusRunnerConfig {
-            workers,
-            batch_bytes: 8,
-            queue_depth: 2,
-            chunk_bytes: 1, // adversarial: every push is a single byte
-        };
+        let opts = RunnerOptions::new()
+            .workers(workers)
+            .batch_bytes(8)
+            .queue_depth(2)
+            .chunk_bytes(1); // adversarial: every push is a single byte
         let mut reference: Option<Vec<SpanRelation>> = None;
         for engine in ENGINES {
-            let runner = CorpusRunner::new(
-                ExecSpanner::compile_with(&vsa, engine),
+            let runner = opts.corpus_runner(
+                compile(&vsa, engine, DenseConfig::default()),
                 splitter::sentences().compile(),
-                config,
             );
             let got = runner.run_slices(&refs);
             prop_assert_eq!(got.stats.docs, refs.len());
@@ -192,13 +197,16 @@ proptest! {
             .iter()
             .map(|doc| {
                 vsas.iter()
-                    .map(|v| ExecSpanner::compile_with(v, Engine::Nfa).eval(doc))
+                    .map(|v| compile(v, Engine::Nfa, DenseConfig::default()).eval(doc))
                     .collect()
             })
             .collect();
         for config in cache_configs() {
             for engine in ENGINES {
-                let fleet = Fleet::compile_with(&vsas, engine, config);
+                let fleet = CompileOptions::new()
+                    .engine(engine)
+                    .dense(config)
+                    .compile_fleet(&vsas);
                 for (di, doc) in docs.iter().enumerate() {
                     let fused = fleet.eval(doc);
                     for (mi, rel) in fused.iter().enumerate() {

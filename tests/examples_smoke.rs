@@ -33,7 +33,7 @@ fn quickstart_main_path() {
         Verdict::Holds => panic!("crossing extractor must be rejected"),
     }
 
-    let spanner = ExecSpanner::compile(&p);
+    let spanner = CompileOptions::new().compile_spanner(&p);
     let split: SplitFn = Arc::new(native_splitters::sentences);
     let doc = b"aa bbb aaa. baab. ab aaaa b".repeat(50);
     let sequential = evaluate_sequential(&spanner, &doc);
@@ -66,7 +66,7 @@ fn ngram_pipeline_main_path() {
         ..Default::default()
     };
     let doc = textgen::wiki_corpus(&cfg);
-    let spanner = ExecSpanner::compile(&bigrams);
+    let spanner = CompileOptions::new().compile_spanner(&bigrams);
     let split: SplitFn = Arc::new(native_splitters::sentences);
     let seq = evaluate_sequential(&spanner, &doc);
     for workers in [1, 2, 5] {
@@ -92,7 +92,7 @@ fn incremental_wiki_main_path() {
         ..Default::default()
     };
     let mut doc = textgen::wiki_corpus(&cfg);
-    let spanner = ExecSpanner::compile(&p);
+    let spanner = CompileOptions::new().compile_spanner(&p);
     let cache = Arc::new(SegmentCache::new(1 << 16));
     let runner = RunnerOptions::new()
         .segment_cache(cache.clone())
@@ -137,7 +137,7 @@ fn http_log_debugging_main_path() {
     let request_lines = spanners::request_line_extractor();
     assert!(self_splittable(&request_lines, &messages).unwrap().holds());
     let log = textgen::http_log(200, 17);
-    let spanner = ExecSpanner::compile(&request_lines);
+    let spanner = CompileOptions::new().compile_spanner(&request_lines);
     let split: SplitFn = Arc::new(native_splitters::paragraphs);
     let seq = evaluate_sequential(&spanner, &log);
     assert_eq!(seq, evaluate_split(&spanner, &split, &log, 5));
@@ -161,14 +161,9 @@ fn corpus_stream_main_path() {
         ..Default::default()
     };
     let shards = 4;
-    let runner = CorpusRunner::new(
-        ExecSpanner::compile(&p),
-        s.compile(),
-        CorpusRunnerConfig {
-            workers: 4,
-            ..Default::default()
-        },
-    );
+    let runner = RunnerOptions::new()
+        .workers(4)
+        .corpus_runner(CompileOptions::new().compile_spanner(&p), s.compile());
     let result = runner.run_streams(textgen::wiki_corpus_shards(shards, &cfg));
     assert_eq!(result.stats.docs, shards);
     assert!(result.stats.segments > 0);
@@ -184,7 +179,7 @@ fn corpus_stream_main_path() {
         .map(|sh| sh.flatten().collect())
         .collect();
     let refs: Vec<&[u8]> = owned.iter().map(Vec::as_slice).collect();
-    let spanner = ExecSpanner::compile(&p);
+    let spanner = CompileOptions::new().compile_spanner(&p);
     let split: SplitFn = Arc::new(native_splitters::sentences);
     assert_eq!(
         result.relations,
@@ -222,10 +217,9 @@ fn fleet_certification_main_path() {
         assert_eq!(outcome.verdict.as_ref().unwrap().holds(), single.holds());
     }
     // The certified survivor distributes over a streamed corpus.
-    let runner = CorpusRunner::new(
-        ExecSpanner::compile(&fleet[0]),
+    let runner = RunnerOptions::new().corpus_runner(
+        CompileOptions::new().compile_spanner(&fleet[0]),
         s.compile(),
-        CorpusRunnerConfig::default(),
     );
     let cfg = CorpusConfig {
         target_bytes: 8 << 10,
@@ -267,11 +261,8 @@ fn sparse_scan_main_path() {
     let mut results = Vec::new();
     let mut prefilter_stats = PrefilterStats::default();
     for engine in [Engine::Dense, Engine::Prefilter] {
-        let runner = CorpusRunner::new(
-            ExecSpanner::compile_with(&p, engine),
-            s.compile(),
-            CorpusRunnerConfig::default(),
-        );
+        let spanner = CompileOptions::new().engine(engine).compile_spanner(&p);
+        let runner = RunnerOptions::new().corpus_runner(spanner, s.compile());
         let out = runner.run_slices(&refs);
         if engine == Engine::Prefilter {
             prefilter_stats = out.stats.prefilter;
@@ -368,7 +359,8 @@ fn fleet_extraction_main_path() {
     let s = splitters::sentences();
     assert!(self_splittable(&catalog[0], &s).unwrap().holds());
 
-    let fleet = Arc::new(Fleet::compile(&catalog, Engine::Prefilter));
+    let opts = CompileOptions::new().engine(Engine::Prefilter);
+    let fleet = Arc::new(opts.compile_fleet(&catalog));
     assert_eq!(fleet.num_members(), n);
     assert!(
         fleet.num_needles() >= n,
@@ -382,17 +374,14 @@ fn fleet_extraction_main_path() {
     };
     let docs = textgen::keyword_corpus_shards(2, &cfg, n, 8);
     let refs: Vec<&[u8]> = docs.iter().map(Vec::as_slice).collect();
-    let runner = FleetRunner::new(fleet, s.compile(), CorpusRunnerConfig::default());
+    let runner = RunnerOptions::new().fleet_runner(fleet, s.compile());
     let fused = runner.run_slices(&refs);
 
     let mut tuples = 0;
     for (mi, member) in catalog.iter().enumerate() {
-        let seq = CorpusRunner::new(
-            ExecSpanner::compile_with(member, Engine::Prefilter),
-            s.compile(),
-            CorpusRunnerConfig::default(),
-        )
-        .run_slices(&refs);
+        let seq = RunnerOptions::new()
+            .corpus_runner(opts.compile_spanner(member), s.compile())
+            .run_slices(&refs);
         for (di, rel) in seq.relations.iter().enumerate() {
             assert_eq!(&fused.relations[di][mi], rel, "doc {di} member {mi}");
             tuples += rel.len();
